@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,12 +49,18 @@ type benchLine struct {
 }
 
 type report struct {
-	GeneratedAt string             `json:"generated_at"`
-	Goos        string             `json:"goos,omitempty"`
-	Goarch      string             `json:"goarch,omitempty"`
-	CPU         string             `json:"cpu,omitempty"`
-	Benchmarks  []benchLine        `json:"benchmarks"`
-	Speedups    map[string]float64 `json:"speedups"`
+	GeneratedAt string `json:"generated_at"`
+	Goos        string `json:"goos,omitempty"`
+	Goarch      string `json:"goarch,omitempty"`
+	CPU         string `json:"cpu,omitempty"`
+	// NumCPU is the host's logical CPU count and GOMAXPROCS the largest
+	// the benchmarks ran at (go test's "-N" name suffix, absent at 1):
+	// the parallel_speedup curves cannot exceed either, so a reader needs
+	// both to tell a flat curve from a starved one.
+	NumCPU     int                `json:"num_cpu"`
+	GOMAXPROCS int                `json:"gomaxprocs"`
+	Benchmarks []benchLine        `json:"benchmarks"`
+	Speedups   map[string]float64 `json:"speedups"`
 	// ParallelSpeedups maps Benchmark<Family>/<variant>/w=N to the
 	// within-run ratio ns/op(w=1) ÷ ns/op(w=N) for every worker-swept
 	// family (sub-benchmark names of the form <family>/w=N/<variant>).
@@ -64,7 +71,7 @@ type report struct {
 	ParallelSpeedups map[string]float64 `json:"parallel_speedup,omitempty"`
 }
 
-var lineRE = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+(\d+) allocs/op)?`)
+var lineRE = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 // parseWorkers recognises the "w=N" path segment of a worker-swept
 // sub-benchmark name.
@@ -86,40 +93,15 @@ func main() {
 	threshold := flag.Float64("threshold", 1.5, "max tolerated baseline/new speedup ratio before failing")
 	flag.Parse()
 
-	rep := report{GeneratedAt: time.Now().UTC().Format(time.RFC3339), Speedups: map[string]float64{}}
+	rep := report{
+		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		NumCPU:      runtime.NumCPU(),
+		Speedups:    map[string]float64{},
+	}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "goos: "):
-			rep.Goos = strings.TrimPrefix(line, "goos: ")
-		case strings.HasPrefix(line, "goarch: "):
-			rep.Goarch = strings.TrimPrefix(line, "goarch: ")
-		case strings.HasPrefix(line, "cpu: "):
-			rep.CPU = strings.TrimPrefix(line, "cpu: ")
-		}
-		m := lineRE.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		iters, _ := strconv.ParseInt(m[2], 10, 64)
-		ns, err := strconv.ParseFloat(m[3], 64)
-		if err != nil {
-			continue
-		}
-		bl := benchLine{Name: m[1], Iterations: iters, NsPerOp: ns}
-		if m[4] != "" {
-			if bpo, err := strconv.ParseFloat(m[4], 64); err == nil {
-				bl.BytesPerOp = &bpo
-			}
-		}
-		if m[5] != "" {
-			if apo, err := strconv.ParseInt(m[5], 10, 64); err == nil {
-				bl.AllocsPerOp = &apo
-			}
-		}
-		rep.Benchmarks = append(rep.Benchmarks, bl)
+		parseLine(&rep, sc.Text())
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "benchfmt: read: %v\n", err)
@@ -169,6 +151,47 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// parseLine folds one line of `go test -bench` output into rep: the
+// goos/goarch/cpu header lines, and every benchmark result line.
+func parseLine(rep *report, line string) {
+	switch {
+	case strings.HasPrefix(line, "goos: "):
+		rep.Goos = strings.TrimPrefix(line, "goos: ")
+	case strings.HasPrefix(line, "goarch: "):
+		rep.Goarch = strings.TrimPrefix(line, "goarch: ")
+	case strings.HasPrefix(line, "cpu: "):
+		rep.CPU = strings.TrimPrefix(line, "cpu: ")
+	}
+	m := lineRE.FindStringSubmatch(line)
+	if m == nil {
+		return
+	}
+	iters, _ := strconv.ParseInt(m[3], 10, 64)
+	ns, err := strconv.ParseFloat(m[4], 64)
+	if err != nil {
+		return
+	}
+	procs := 1
+	if m[2] != "" {
+		procs, _ = strconv.Atoi(m[2])
+	}
+	if procs > rep.GOMAXPROCS {
+		rep.GOMAXPROCS = procs
+	}
+	bl := benchLine{Name: m[1], Iterations: iters, NsPerOp: ns}
+	if m[5] != "" {
+		if bpo, err := strconv.ParseFloat(m[5], 64); err == nil {
+			bl.BytesPerOp = &bpo
+		}
+	}
+	if m[6] != "" {
+		if apo, err := strconv.ParseInt(m[6], 10, 64); err == nil {
+			bl.AllocsPerOp = &apo
+		}
+	}
+	rep.Benchmarks = append(rep.Benchmarks, bl)
 }
 
 // foldSpeedups derives the two speedup views from the raw benchmark lines:

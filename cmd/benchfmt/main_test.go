@@ -45,6 +45,33 @@ func TestFoldSpeedupsPairsAndSweeps(t *testing.T) {
 	}
 }
 
+func TestParseLineRecordsProcs(t *testing.T) {
+	var rep report
+	for _, line := range []string{
+		"goos: linux",
+		"cpu: Test CPU @ 1GHz",
+		"BenchmarkStream/fast/p=256-2         	       3	  43570125 ns/op	       0 B/op	       0 allocs/op",
+		"BenchmarkRun    	      10	    1000 ns/op",
+		"PASS",
+	} {
+		parseLine(&rep, line)
+	}
+	if rep.Goos != "linux" || rep.CPU != "Test CPU @ 1GHz" || rep.GOMAXPROCS != 2 {
+		t.Fatalf("header %+v, want linux / Test CPU / gomaxprocs 2", rep)
+	}
+	if len(rep.Benchmarks) != 2 {
+		t.Fatalf("benchmarks %+v, want 2", rep.Benchmarks)
+	}
+	fast := rep.Benchmarks[0]
+	if fast.Name != "BenchmarkStream/fast/p=256" || fast.Iterations != 3 || fast.NsPerOp != 43570125 ||
+		fast.AllocsPerOp == nil || *fast.AllocsPerOp != 0 {
+		t.Fatalf("parsed %+v", fast)
+	}
+	if run := rep.Benchmarks[1]; run.Name != "BenchmarkRun" || run.AllocsPerOp != nil {
+		t.Fatalf("parsed %+v", run)
+	}
+}
+
 func TestParseWorkers(t *testing.T) {
 	cases := []struct {
 		seg string

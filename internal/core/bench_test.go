@@ -171,7 +171,7 @@ func BenchmarkRunFrontier(b *testing.B) {
 
 // benchParallelStream measures one warm parallel superstep — stream, barrier
 // reductions, ownership rebalance — on a persistent worker pool, the exact
-// unit the serial benchStream measures plus the convergence scan the serial
+// unit the serial benchStream measures plus the convergence check the serial
 // kernel pays outside its stream. The w=1 sub-benchmark is the serial-
 // schedule baseline of the family's parallel_speedup curve in
 // BENCH_core.json (ns/op at w=1 ÷ ns/op at w=N).
@@ -230,7 +230,7 @@ func BenchmarkParallelAwareHier3(b *testing.B) {
 
 // BenchmarkParallelUniform sweeps the uniform-matrix workload, which has no
 // block structure: ownership falls back to the round-robin stride and the
-// speedup isolates the contention-free counters + parallel convergence scan
+// speedup isolates the contention-free counters + parallel convergence check
 // from the block-alignment effect.
 func BenchmarkParallelUniform(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {

@@ -50,8 +50,8 @@ const (
 	// phaseCollect: copy the worker's vertex range of the shared assignment
 	// into the pass snapshot and census vertices per cost-tier block.
 	phaseCollect
-	// phaseScan: evaluate the worker's share of the comm-cost reduction
-	// over the pass snapshot.
+	// phaseScan: recount the worker's vertex range of the pass snapshot
+	// into its neighbour-pair partial (see scratch.countPairs).
 	phaseScan
 )
 
@@ -81,9 +81,12 @@ type passCmd struct {
 // matrices fall back to a round-robin vertex stride. Shared load counters
 // are cache-line padded and written only through per-worker deltas flushed
 // every loadSyncEvery visits; per-candidate load reads are plain reads of
-// the worker's epoch-refreshed view. The per-pass snapshot, load, and
-// comm-cost convergence scans run as parallel reductions across the
-// workers, merged at the barrier in worker order.
+// the worker's epoch-refreshed view. The per-pass snapshot and load scans
+// run as parallel reductions across the workers, merged at the barrier in
+// worker order. PC(P) comes from the same neighbour-pair counts as Run:
+// a single worker maintains them move by move exactly as the serial
+// stream does, while with several workers, whose moves race, every
+// barrier recounts them as per-worker partials over vertex ranges.
 //
 // Config.InitialParts seeds the assignment exactly as in Run. ShuffledOrder
 // is ignored (workers stream their owned vertices in natural order).
@@ -224,8 +227,6 @@ func newParallelRun(h *hypergraph.Hypergraph, cfg Config, cidx *CostIndex, worke
 	}
 
 	vchunk := (nv + workers - 1) / workers
-	ne := h.NumEdges()
-	echunk := (ne + workers - 1) / workers
 	r.pool = make([]*parallelWorker, workers)
 	for id := 0; id < workers; id++ {
 		w := &parallelWorker{
@@ -235,7 +236,6 @@ func newParallelRun(h *hypergraph.Hypergraph, cfg Config, cidx *CostIndex, worke
 		}
 		r.pool[id] = w
 		w.lo, w.hi = clampRange(id*vchunk, vchunk, nv)
-		w.elo, w.ehi = clampRange(id*echunk, echunk, ne)
 		// The worker's load view reuses the scratch's serial load buffer
 		// (parallel workers share assignment state, so it is otherwise
 		// idle). The delta buffer must be re-zeroed: a pooled scratch may
@@ -269,6 +269,11 @@ func newParallelRun(h *hypergraph.Hypergraph, cfg Config, cidx *CostIndex, worke
 		// is already block-aligned.
 		r.censusSnapshot()
 		r.rebalanceBlocks()
+	}
+	if workers == 1 {
+		// The lone worker's pair counts start from the initial assignment
+		// and are maintained by its stream from then on.
+		r.dispatch(passCmd{phase: phaseScan})
 	}
 	return r
 }
@@ -390,13 +395,25 @@ func (r *parallelRun) superstep(pass int, alpha float64, frontier bool) (moves i
 		r.rebalanceBlocks()
 	}
 
-	// Comm-cost scan as a parallel reduction; partials summed in worker
-	// order, so a single worker reproduces the serial accumulation bitwise.
-	r.dispatch(passCmd{phase: phaseScan})
-	for _, w := range r.pool {
-		cost += w.partCost
+	return moves, imb, r.commCost()
+}
+
+// commCost returns PC(P) of the current snapshot from the pair counts. A
+// single worker's counts are current already; with several workers each
+// recounts its vertex range and the partials are added into the first
+// worker's matrix. Integer addition is exact in any order and pairCost's
+// order is fixed, so the value is the serial one bit for bit.
+func (r *parallelRun) commCost() float64 {
+	pairs := r.pool[0].sc.pairs
+	if len(r.pool) > 1 {
+		r.dispatch(passCmd{phase: phaseScan})
+		for _, w := range r.pool[1:] {
+			for i, m := range w.sc.pairs {
+				pairs[i] += m
+			}
+		}
 	}
-	return moves, imb, cost
+	return pairCost(pairs, r.s.cfg.CostMatrix)
 }
 
 // run executes the driver loop — structurally identical to the serial Run,
@@ -480,12 +497,13 @@ func (r *parallelRun) run() Result {
 		final = bestParts
 	}
 	res.Parts = append([]int32(nil), final...)
-	// The final comm cost reuses the scan reduction over the returned
-	// partition (which may be the best-seen one, not the last snapshot).
-	copy(s.snapshot, res.Parts)
-	r.dispatch(passCmd{phase: phaseScan})
-	for _, w := range r.pool {
-		res.FinalCommCost += w.partCost
+	// PC(P) depends only on the partition: the best-seen one's cost is the
+	// value recorded when it was saved, otherwise the snapshot's counts
+	// give it.
+	if haveBest {
+		res.FinalCommCost = bestCost
+	} else {
+		res.FinalCommCost = r.commCost()
 	}
 	res.FinalImbalance = metrics.Imbalance(metrics.Loads(s.h, res.Parts, s.p))
 	if cfg.Stats != nil {
@@ -563,14 +581,13 @@ type parallelWorker struct {
 	// filled during phaseCollect (blockAligned runs only).
 	blockVerts []int64
 
-	// lo/hi and elo/ehi are the worker's vertex and edge ranges for the
-	// barrier reductions (collect and scan); stream ownership is by block
-	// or stride, not range.
-	lo, hi, elo, ehi int
+	// lo/hi is the worker's vertex range for the barrier reductions
+	// (collect and scan); stream ownership is by block or stride, not
+	// range.
+	lo, hi int
 
-	// Per-pass outputs read by the driver at the barrier.
+	// passMoves is the pass's move count, summed at the barrier.
 	passMoves int64
-	partCost  float64
 
 	loadOf    func(int32) int64
 	untouched func(int32) bool
@@ -613,16 +630,11 @@ func (w *parallelWorker) collect() {
 	}
 }
 
-// scan evaluates the worker's share of the monitored comm cost over the
-// pass snapshot: a vertex range of PC(P), or an edge range of the
-// hyperedge-weighted variant.
+// scan recounts the worker's vertex range of the pass snapshot into its
+// neighbour-pair partial.
 func (w *parallelWorker) scan() {
 	s := w.s
-	if s.cfg.UseEdgeWeights {
-		w.partCost = metrics.WeightedCommCostRange(s.h, s.snapshot, s.cfg.CostMatrix, w.elo, w.ehi)
-	} else {
-		w.partCost = w.sc.comm.CommCostRange(s.h, s.snapshot, s.cfg.CostMatrix, w.lo, w.hi)
-	}
+	w.sc.countPairs(s.h, s.snapshot, s.p, s.cfg.UseEdgeWeights, w.lo, w.hi)
 }
 
 // flushDeltas applies the worker's batched load changes to the shared
@@ -763,6 +775,9 @@ func (w *parallelWorker) streamPass(pass int, alpha float64, frontierOnly bool) 
 			w.delta[cur] -= wt
 			w.delta[bestPart] += wt
 			s.parts[v].Store(bestPart)
+			if !multi {
+				sc.movePairs(s.p, cur, bestPart)
+			}
 			if fast && !scanOff {
 				if kind == costBlocked {
 					sc.blockNoteMove(s.cidx, cur, bestPart,
@@ -798,7 +813,7 @@ func (w *parallelWorker) streamPass(pass int, alpha float64, frontierOnly bool) 
 }
 
 // gather fills the worker scratch with X_j(v) against the live shared
-// assignment (the parallel twin of Partitioner.gatherNeighbourCounts).
+// assignment (the atomic-load twin of scratch.gather).
 func (w *parallelWorker) gather(v int) {
 	s, sc := w.s, w.sc
 	h := s.h
@@ -892,28 +907,49 @@ func (w *parallelWorker) pickUniform(cur int32, alpha float64, expected []float6
 	for _, j := range sc.touched {
 		tU += sc.xCounts[j] * c
 	}
+	jstar, sumX := heaviestTouched(sc)
+	niU := nbrParts / p
+	niT := (nbrParts - 1) / p
+
 	bestPart := int32(-1)
 	bestVal := math.Inf(-1)
-	for _, i := range sc.touched {
+	scoreTouched := func(i int32) {
 		t := 0.0
 		for _, j := range sc.touched {
 			if j != i {
 				t += sc.xCounts[j] * c
 			}
 		}
-		ni := (nbrParts - 1) / p
-		val := -ni*t - alpha*float64(w.view[i])/expected[i]
+		val := -niT*t - alpha*float64(w.view[i])/expected[i]
 		considerCandidate(&bestVal, &bestPart, i, cur, val)
 	}
-	niU := nbrParts / p
 	if e, ok := sc.minIdx.popBestUntouched(w.untouched); ok {
 		val := -niU*tU - alpha*float64(w.view[e.idx])/expected[e.idx]
 		considerCandidate(&bestVal, &bestPart, e.idx, cur, val)
 	}
 	sc.minIdx.restore()
-	if sc.pstamp[cur] != sc.epoch {
+	curTouched := sc.pstamp[cur] == sc.epoch
+	if !curTouched {
 		val := -niU*tU - alpha*float64(w.view[cur])/expected[cur]
 		considerCandidate(&bestVal, &bestPart, cur, cur, val)
+	}
+	if len(sc.touched) == 0 {
+		return bestPart
+	}
+	scoreTouched(jstar)
+	if curTouched && cur != jstar {
+		scoreTouched(cur)
+	}
+	for _, i := range sc.touched {
+		if i == jstar || i == cur {
+			continue
+		}
+		if touchedPrunable(niT, c*(sumX-sc.xCounts[i]), c*sumX,
+			alpha*float64(w.view[i])/expected[i], 0, bestVal) {
+			w.tally.TouchedPruned++
+			continue
+		}
+		scoreTouched(i)
 	}
 	return bestPart
 }
@@ -992,14 +1028,22 @@ func (w *parallelWorker) pickBlocked(cur int32, alpha float64, expected []float6
 	p := float64(s.p)
 	nbrParts := float64(len(sc.touched))
 	epoch := sc.epoch
-	jstar := int32(0)
-	xStar := math.Inf(-1)
+	jstar, _ := heaviestTouched(sc)
+	niU := nbrParts / p
+	niT := (nbrParts - 1) / p
+
+	tLBAll := sc.tLBAll
+	for b := range tLBAll {
+		tLBAll[b] = 0
+	}
 	for _, j := range sc.touched {
-		if sc.xCounts[j] > xStar {
-			xStar, jstar = sc.xCounts[j], j
+		x := sc.xCounts[j]
+		floors := ci.floorsTo[j]
+		for b := range tLBAll {
+			tLBAll[b] += x * floors[b]
 		}
 	}
-	niU := nbrParts / p
+	work += len(sc.touched) * len(tLBAll) / 64
 
 	bestPart := int32(-1)
 	bestVal := math.Inf(-1)
@@ -1021,11 +1065,12 @@ func (w *parallelWorker) pickBlocked(cur int32, alpha float64, expected []float6
 		sc.sstamp[i] = epoch
 		considerCandidate(&bestVal, &bestPart, i, cur, val)
 	}
-	for _, i := range sc.touched {
-		score(i, true, 0, false)
+	if len(sc.touched) > 0 {
+		score(jstar, true, 0, false)
 	}
-	if sc.pstamp[cur] != epoch {
-		score(cur, false, 0, false)
+	curTouched := sc.pstamp[cur] == epoch
+	if !curTouched || cur != jstar {
+		score(cur, curTouched, 0, false)
 	}
 
 	champ := int32(-1)
@@ -1050,18 +1095,18 @@ func (w *parallelWorker) pickBlocked(cur int32, alpha float64, expected []float6
 		}
 	}
 
-	tLBAll := sc.tLBAll
-	for b := range tLBAll {
-		tLBAll[b] = 0
-	}
-	for _, j := range sc.touched {
-		x := sc.xCounts[j]
-		floors := ci.floorsTo[j]
-		for b := range tLBAll {
-			tLBAll[b] += x * floors[b]
+	for _, i := range sc.touched {
+		if i == jstar || i == cur {
+			continue
 		}
+		if b := ci.blockOf[i]; len(ci.blocks[b].members) > 1 &&
+			touchedPrunable(niT, tLBAll[b]-sc.xCounts[i]*ci.floorsTo[i][b], tLBAll[b],
+				alpha*float64(w.view[i])/expected[i], 0, bestVal) {
+			w.tally.TouchedPruned++
+			continue
+		}
+		score(i, true, 0, false)
 	}
-	work += len(sc.touched) * len(tLBAll) / 64
 
 	for _, b := range ci.blockOrder[jstar] {
 		tLB := tLBAll[b]

@@ -556,7 +556,13 @@ func (pr *Partitioner) Run() Result {
 	}
 
 	res.Parts = append([]int32(nil), pr.parts...)
-	res.FinalCommCost = pr.monitoredCost()
+	// PC(P) depends only on the partition, so the restored best partition's
+	// cost is the value recorded when it was saved.
+	if haveBest {
+		res.FinalCommCost = bestCost
+	} else {
+		res.FinalCommCost = pr.monitoredCost()
+	}
 	res.FinalImbalance = metrics.Imbalance(metrics.Loads(pr.h, res.Parts, pr.p))
 	if pr.cfg.Stats != nil {
 		pr.cfg.Stats.Add(pr.tally)
@@ -566,9 +572,10 @@ func (pr *Partitioner) Run() Result {
 }
 
 // resetAssignment restores the initial assignment (round-robin, or the
-// caller's when repartitioning) and the loads derived from it. Run starts
-// with it; the kernel benchmarks call it to restart between measured
-// streams.
+// caller's when repartitioning), the loads derived from it, and the
+// neighbour-pair counts the convergence check maintains from then on. Run
+// starts with it; the kernel benchmarks call it to restart between
+// measured streams.
 func (pr *Partitioner) resetAssignment() {
 	h, p := pr.h, pr.p
 	nv := h.NumVertices()
@@ -588,6 +595,7 @@ func (pr *Partitioner) resetAssignment() {
 		pr.loads[pr.parts[v]] += w
 		pr.totalW += w
 	}
+	pr.sc.countPairs(h, pr.parts, p, pr.cfg.UseEdgeWeights, 0, nv)
 }
 
 // expectedLoads returns E(i) per partition: totalW/p for homogeneous
@@ -634,12 +642,10 @@ func (pr *Partitioner) imbalance(expected []float64) float64 {
 }
 
 // monitoredCost is the refinement-phase quality metric: PC(P) with the
-// algorithm's own cost matrix, hyperedge-weighted when UseEdgeWeights.
+// algorithm's own cost matrix, hyperedge-weighted when UseEdgeWeights,
+// evaluated in O(p²) from the pair counts the stream keeps current.
 func (pr *Partitioner) monitoredCost() float64 {
-	if pr.cfg.UseEdgeWeights {
-		return metrics.WeightedCommCost(pr.h, pr.parts, pr.cfg.CostMatrix)
-	}
-	return pr.sc.comm.CommCost(pr.h, pr.parts, pr.cfg.CostMatrix)
+	return pairCost(pr.sc.pairs, pr.cfg.CostMatrix)
 }
 
 // splitMix is a tiny local PRNG for the optional shuffled stream order
@@ -763,6 +769,7 @@ func (pr *Partitioner) stream(alpha float64, expected []float64, order []int32, 
 			pr.loads[old] -= w
 			pr.loads[bestPart] += w
 			pr.parts[v] = bestPart
+			sc.movePairs(pr.p, old, bestPart)
 			if fast && !scanOff {
 				if kind == costBlocked {
 					sc.blockNoteMove(pr.cidx, old, bestPart,
@@ -850,14 +857,49 @@ func considerCandidate(bestVal *float64, bestPart *int32, i, cur int32, val floa
 	}
 }
 
+// touchedPrunable reports whether a touched candidate can be skipped
+// without paying its O(|touched|) exact communication sum: tBound
+// lower-bounds its T_i(v), so −ni·tBound − loadTerm − penalty bounds its
+// value from above, and the candidate is pruned when even that bound is
+// strictly below the incumbent bestVal. tBound is the difference of two
+// sums of magnitude up to tScale, and the subtraction cancels their
+// leading digits, so the boundMargin inflation is taken relative to
+// ni·tScale, not to the difference; rounding can then only make the scan
+// score more candidates than necessary, never prune a winner. One helper
+// serves the serial pickers and their parallel-worker twins.
+func touchedPrunable(ni, tBound, tScale, loadTerm, penalty, bestVal float64) bool {
+	ub := -ni*tBound - loadTerm - penalty
+	ub += boundMargin * (math.Abs(ub) + ni*tScale + 1)
+	return ub < bestVal
+}
+
+// heaviestTouched returns j*, the touched partition holding the most
+// neighbour mass (the first such in touched order), and Σ_j X_j(v). j* is
+// 0 for an isolated vertex, which has no touched partitions.
+func heaviestTouched(sc *scratch) (jstar int32, sumX float64) {
+	xStar := math.Inf(-1)
+	for _, j := range sc.touched {
+		x := sc.xCounts[j]
+		sumX += x
+		if x > xStar {
+			xStar, jstar = x, j
+		}
+	}
+	return jstar, sumX
+}
+
 // pickUniform is the touched-only scan for uniform off-diagonal cost
 // matrices (HyperPRAW-basic, and the uniform benchmarks). Every untouched
 // partition shares one communication term, so the best untouched candidate
 // is exactly the minimum of W(i)/E(i) — ties on the lowest index — which the
-// min-load index supplies without scanning all p. Only |touched| + 2
-// candidates (touched partitions, that fallback, and the vertex's current
-// partition, which never pays the migration penalty) are scored, each with
-// pickExhaustive's floating-point arithmetic operation for operation.
+// min-load index supplies without scanning all p. That fallback, the
+// vertex's current partition (which never pays the migration penalty) and
+// the heaviest touched partition j* are scored first; every other touched
+// partition i is then rejected in O(1) when its value bound from
+// T_i(v) = c·(ΣX − X_i) cannot beat them, and scored otherwise. Every
+// scored candidate uses pickExhaustive's floating-point arithmetic
+// operation for operation, and every rejected one is strictly worse than
+// the incumbent, so the pick is the exhaustive one.
 func (pr *Partitioner) pickUniform(v int, alpha float64, expected []float64) int32 {
 	sc := pr.sc
 	c := pr.cidx.uniformC
@@ -874,10 +916,13 @@ func (pr *Partitioner) pickUniform(v int, alpha float64, expected []float64) int
 	for _, j := range sc.touched {
 		tU += sc.xCounts[j] * c
 	}
+	jstar, sumX := heaviestTouched(sc)
+	niU := nbrParts / p
+	niT := (nbrParts - 1) / p
 
 	bestPart := int32(-1)
 	bestVal := math.Inf(-1)
-	for _, i := range sc.touched {
+	scoreTouched := func(i int32) {
 		// T_i for touched i drops the j == i term, which the exhaustive loop
 		// adds as xCounts[i]·C(i,i) = +0.0 — a bitwise no-op.
 		t := 0.0
@@ -886,14 +931,12 @@ func (pr *Partitioner) pickUniform(v int, alpha float64, expected []float64) int
 				t += sc.xCounts[j] * c
 			}
 		}
-		ni := (nbrParts - 1) / p
-		val := -ni*t - alpha*float64(pr.loads[i])/expected[i]
+		val := -niT*t - alpha*float64(pr.loads[i])/expected[i]
 		if penalty > 0 && i != cur {
 			val -= penalty
 		}
 		considerCandidate(&bestVal, &bestPart, i, cur, val)
 	}
-	niU := nbrParts / p
 	if e, ok := sc.minIdx.popBestUntouched(pr.untouchedFn); ok {
 		val := -niU*tU - alpha*float64(pr.loads[e.idx])/expected[e.idx]
 		if penalty > 0 && e.idx != cur {
@@ -902,9 +945,28 @@ func (pr *Partitioner) pickUniform(v int, alpha float64, expected []float64) int
 		considerCandidate(&bestVal, &bestPart, e.idx, cur, val)
 	}
 	sc.minIdx.restore()
-	if sc.pstamp[cur] != sc.epoch {
+	curTouched := sc.pstamp[cur] == sc.epoch
+	if !curTouched {
 		val := -niU*tU - alpha*float64(pr.loads[cur])/expected[cur]
 		considerCandidate(&bestVal, &bestPart, cur, cur, val)
+	}
+	if len(sc.touched) == 0 {
+		return bestPart
+	}
+	scoreTouched(jstar)
+	if curTouched && cur != jstar {
+		scoreTouched(cur)
+	}
+	for _, i := range sc.touched {
+		if i == jstar || i == cur {
+			continue
+		}
+		if touchedPrunable(niT, c*(sumX-sc.xCounts[i]), c*sumX,
+			alpha*float64(pr.loads[i])/expected[i], penalty, bestVal) {
+			pr.tally.TouchedPruned++
+			continue
+		}
+		scoreTouched(i)
 	}
 	return bestPart
 }
@@ -1004,21 +1066,23 @@ func boundedPopBudget(p int) int {
 
 // pickBlocked is the tiered touched-only scan for hierarchical (blocked)
 // cost matrices, the profiled HyperPRAW-aware case the CostIndex was built
-// for. Touched partitions, the current one, and the globally least-loaded
-// partition's best available member (the load champion) are scored
-// exactly up front. The remaining candidates are then walked block by
-// block in ascending communication floor relative to the vertex's
-// heaviest neighbour partition j*, with every block's floor sum
-// Σ_j X_j·floorsTo[j][b] precomputed in one contiguous pass. A block is
-// rejected in O(1) when even (floor comm, exact min member load) cannot
-// beat the incumbent — the floor sums are tight to within-block noise,
-// which is what the scalar min(C)·ΣX bound of pickBounded cannot offer;
-// a surviving block scores members in ascending (W(i)/E(i), i) until the
-// same bound closes. For an exact block the floor sum IS every member's
-// communication term, so the first member scored (the block's
-// lowest-(load, index) one, which dominates its siblings under the
-// exhaustive tie-break) settles the whole block in O(1) after the shared
-// floor pass.
+// for. Every block's floor sum Σ_j X_j·floorsTo[j][b] is precomputed in
+// one contiguous pass first. The vertex's heaviest neighbour partition j*,
+// its current partition, and the globally least-loaded partition's best
+// available member (the load champion) are then scored exactly, and every
+// other touched partition i of block b is rejected in O(1) when its value
+// bound from T_i(v) ≥ floor sum of b − X_i·floorsTo[i][b] (the floor sum
+// with i's own term removed) cannot beat them. The remaining candidates
+// are walked block by block in ascending communication floor relative to
+// j*. A block is rejected in O(1) when even (floor comm, exact min member
+// load) cannot beat the incumbent — the floor sums are tight to
+// within-block noise, which is what the scalar min(C)·ΣX bound of
+// pickBounded cannot offer; a surviving block scores members in ascending
+// (W(i)/E(i), i) until the same bound closes. For an exact block the floor
+// sum IS every member's communication term, so the first member scored
+// (the block's lowest-(load, index) one, which dominates its siblings
+// under the exhaustive tie-break) settles the whole block in O(1) after
+// the shared floor pass.
 //
 // work approximates the scan's cost in units of one exhaustive candidate
 // evaluation, so the stream can fall back when the walk stops pruning.
@@ -1027,7 +1091,9 @@ func boundedPopBudget(p int) int {
 // floating-point evaluation, pruning is strict (a pruned candidate is
 // strictly worse than the incumbent, margin-inflated against rounding),
 // and considerCandidate reproduces the exhaustive tie-break from any
-// evaluation order.
+// evaluation order. A pruned touched candidate is strictly worse than the
+// incumbent, so the walk starts from the same (bestVal, bestPart) as if
+// every touched partition had been scored.
 func (pr *Partitioner) pickBlocked(v int, alpha float64, expected []float64) (best int32, work int) {
 	sc := pr.sc
 	ci := pr.cidx
@@ -1040,18 +1106,27 @@ func (pr *Partitioner) pickBlocked(v int, alpha float64, expected []float64) (be
 	if pr.cfg.MigrationPenalty > 0 {
 		penalty = pr.cfg.MigrationPenalty * float64(pr.h.VertexWeight(v))
 	}
-	// j*: the touched partition holding the most neighbour mass — the
-	// anchor whose block order the walk follows (any anchor is correct;
-	// the heaviest makes the floor gaps steepest). Defaults to 0 for an
-	// isolated vertex, where every floor sum is zero anyway.
-	jstar := int32(0)
-	xStar := math.Inf(-1)
+	// j*: the anchor whose block order the walk follows (any anchor is
+	// correct; the heaviest makes the floor gaps steepest).
+	jstar, _ := heaviestTouched(sc)
+	niU := nbrParts / p
+	niT := (nbrParts - 1) / p
+
+	// All block floor sums in one contiguous pass, accumulated in touched
+	// order like every exact evaluation: tLBAll[b] lower-bounds any
+	// member's T_i, and IS the member's T_i when the block is exact.
+	tLBAll := sc.tLBAll
+	for b := range tLBAll {
+		tLBAll[b] = 0
+	}
 	for _, j := range sc.touched {
-		if sc.xCounts[j] > xStar {
-			xStar, jstar = sc.xCounts[j], j
+		x := sc.xCounts[j]
+		floors := ci.floorsTo[j]
+		for b := range tLBAll {
+			tLBAll[b] += x * floors[b]
 		}
 	}
-	niU := nbrParts / p
+	work += len(sc.touched) * len(tLBAll) / 64
 
 	bestPart := int32(-1)
 	bestVal := math.Inf(-1)
@@ -1076,16 +1151,17 @@ func (pr *Partitioner) pickBlocked(v int, alpha float64, expected []float64) (be
 		sc.sstamp[i] = epoch
 		considerCandidate(&bestVal, &bestPart, i, cur, val)
 	}
-	for _, i := range sc.touched {
-		score(i, true, 0, false)
+	if len(sc.touched) > 0 {
+		score(jstar, true, 0, false)
 	}
-	if sc.pstamp[cur] != epoch {
-		score(cur, false, 0, false)
+	curTouched := sc.pstamp[cur] == epoch
+	if !curTouched || cur != jstar {
+		score(cur, curTouched, 0, false)
 	}
 
 	// Refresh stale block minima and find the champion block — the one
 	// holding the globally least-loaded partition. Scoring its best
-	// available member first hands every later bound the strongest load
+	// available member early hands every later bound the strongest load
 	// incumbent the candidate set can produce.
 	champ := int32(-1)
 	q0 := math.Inf(1)
@@ -1109,21 +1185,18 @@ func (pr *Partitioner) pickBlocked(v int, alpha float64, expected []float64) (be
 		}
 	}
 
-	// All block floor sums in one contiguous pass, accumulated in touched
-	// order like every exact evaluation: tLBAll[b] lower-bounds any
-	// member's T_i, and IS the member's T_i when the block is exact.
-	tLBAll := sc.tLBAll
-	for b := range tLBAll {
-		tLBAll[b] = 0
-	}
-	for _, j := range sc.touched {
-		x := sc.xCounts[j]
-		floors := ci.floorsTo[j]
-		for b := range tLBAll {
-			tLBAll[b] += x * floors[b]
+	for _, i := range sc.touched {
+		if i == jstar || i == cur {
+			continue
 		}
+		if b := ci.blockOf[i]; len(ci.blocks[b].members) > 1 &&
+			touchedPrunable(niT, tLBAll[b]-sc.xCounts[i]*ci.floorsTo[i][b], tLBAll[b],
+				alpha*float64(pr.loads[i])/expected[i], penalty, bestVal) {
+			pr.tally.TouchedPruned++
+			continue
+		}
+		score(i, true, 0, false)
 	}
-	work += len(sc.touched) * len(tLBAll) / 64
 
 	for _, b := range ci.blockOrder[jstar] {
 		tLB := tLBAll[b]
@@ -1230,46 +1303,12 @@ func (pr *Partitioner) markDirty(v int, next int32) {
 	}
 }
 
-// gatherNeighbourCounts fills xCounts/touched with X_j(v): the number of
-// distinct neighbours of v in each partition j (paper eq 4). Distinctness is
-// enforced with epoch stamps so a neighbour shared by several hyperedges
-// counts once, and v itself never counts. With UseEdgeWeights the semantics
-// switch to hyperedge-weighted pin incidences: every (edge, neighbour) pair
-// contributes w(e), modelling per-edge communication volume (§8.2). Epoch
-// wraparound (after 2^31−2 gathers, e.g. a pooled scratch serving jobs for
-// days) is handled by scratch.bumpEpoch, which zeroes the stamps and
-// restarts the epoch at 1.
+// gatherNeighbourCounts fills xCounts/touched with X_j(v) against the live
+// assignment (see scratch.gather). Epoch wraparound (after 2^31−2 gathers,
+// e.g. a pooled scratch serving jobs for days) is handled by
+// scratch.bumpEpoch, which zeroes the stamps and restarts the epoch at 1.
 func (pr *Partitioner) gatherNeighbourCounts(v int) {
-	h := pr.h
-	sc := pr.sc
-	epoch := sc.bumpEpoch()
-	sc.vstamp[v] = epoch
-	sc.touched = sc.touched[:0]
-	weighted := pr.cfg.UseEdgeWeights
-	for _, e := range h.IncidentEdges(v) {
-		w := 1.0
-		if weighted {
-			w = float64(h.EdgeWeight(int(e)))
-		}
-		for _, u := range h.Pins(int(e)) {
-			if weighted {
-				if int(u) == v {
-					continue
-				}
-			} else if sc.vstamp[u] == epoch {
-				continue
-			} else {
-				sc.vstamp[u] = epoch
-			}
-			part := pr.parts[u]
-			if sc.pstamp[part] != epoch {
-				sc.pstamp[part] = epoch
-				sc.xCounts[part] = 0
-				sc.touched = append(sc.touched, part)
-			}
-			sc.xCounts[part] += w
-		}
-	}
+	pr.sc.gather(pr.h, pr.parts, v, pr.cfg.UseEdgeWeights)
 }
 
 // Partition is the one-call convenience wrapper: configure, run, return the

@@ -4,13 +4,13 @@ import (
 	"math"
 	"sync"
 
-	"hyperpraw/internal/metrics"
+	"hyperpraw/internal/hypergraph"
 )
 
 // scratch bundles every reusable buffer one streaming kernel needs: the
 // epoch-stamped neighbour gather, the min-load index of the touched-only
 // scan, the frontier stamps of frontier restreaming, the assignment/load
-// vectors, and the comm-cost scanner of the convergence check.
+// vectors, and the neighbour-pair counts behind the convergence check.
 //
 // Scratches are recycled through a package-level sync.Pool so a long-lived
 // server partitioning job after job stops allocating in the kernel: New (and
@@ -67,11 +67,18 @@ type scratch struct {
 	delta      []int64
 	blockVerts []int64
 
-	// Convergence-check scanner (PC(P) once per iteration).
-	comm *metrics.CommScanner
+	// pairs is the p×p row-major matrix of neighbour-pair counts behind
+	// the convergence check: pairs[a·p+j] counts the ordered pairs (v, u)
+	// of distinct neighbours with v in partition a and u in partition j
+	// (hyperedge-weighted with UseEdgeWeights), so PC(P) is
+	// Σ_a Σ_j pairs[a·p+j]·C(a,j) — see pairCost. A serial run recounts it
+	// when the assignment is reset and then maintains it move by move from
+	// the X_j(v) each visit already gathered; a parallel worker's copy is
+	// its partial of the barrier recount.
+	pairs []int64
 }
 
-var scratchPool = sync.Pool{New: func() any { return &scratch{comm: metrics.NewCommScanner()} }}
+var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 
 // acquireScratch takes a scratch from the pool and sizes the buffers every
 // kernel needs: the gather state and the p-sized load vectors. The other
@@ -99,6 +106,7 @@ func acquireScratch(nv, p int) *scratch {
 	} else {
 		sc.loads = sc.loads[:p]
 	}
+	sc.pairs = growI64(sc.pairs, p*p)
 	return sc
 }
 
@@ -120,6 +128,102 @@ func growI64(s []int64, n int) []int64 {
 		return make([]int64, n)
 	}
 	return s[:n]
+}
+
+// gather fills xCounts/touched with X_j(v) under the assignment parts: the
+// number of distinct neighbours of v in each partition j (paper eq 4).
+// Distinctness is enforced with epoch stamps so a neighbour shared by
+// several hyperedges counts once, and v itself never counts. With weighted
+// set the semantics switch to hyperedge-weighted pin incidences: every
+// (edge, neighbour) pair contributes w(e), modelling per-edge
+// communication volume (§8.2).
+func (sc *scratch) gather(h *hypergraph.Hypergraph, parts []int32, v int, weighted bool) {
+	epoch := sc.bumpEpoch()
+	sc.vstamp[v] = epoch
+	sc.touched = sc.touched[:0]
+	for _, e := range h.IncidentEdges(v) {
+		w := 1.0
+		if weighted {
+			w = float64(h.EdgeWeight(int(e)))
+		}
+		for _, u := range h.Pins(int(e)) {
+			if weighted {
+				if int(u) == v {
+					continue
+				}
+			} else if sc.vstamp[u] == epoch {
+				continue
+			} else {
+				sc.vstamp[u] = epoch
+			}
+			part := parts[u]
+			if sc.pstamp[part] != epoch {
+				sc.pstamp[part] = epoch
+				sc.xCounts[part] = 0
+				sc.touched = append(sc.touched, part)
+			}
+			sc.xCounts[part] += w
+		}
+	}
+}
+
+// countPairs recounts the pair matrix from scratch: every vertex of
+// [lo, hi) contributes its gathered X_j(v) to row parts[v]. Over the whole
+// vertex set this is the matrix of parts; over a range it is one worker's
+// partial of the parallel barrier recount (integer partials add exactly,
+// in any order).
+func (sc *scratch) countPairs(h *hypergraph.Hypergraph, parts []int32, p int, weighted bool, lo, hi int) {
+	pairs := sc.pairs
+	for i := range pairs {
+		pairs[i] = 0
+	}
+	for v := lo; v < hi; v++ {
+		sc.gather(h, parts, v, weighted)
+		row := pairs[int(parts[v])*p:]
+		for _, j := range sc.touched {
+			row[j] += int64(sc.xCounts[j])
+		}
+	}
+}
+
+// movePairs applies the move of the vertex just gathered from partition a
+// to partition b: its pairs (v, u) leave row a for row b and their mirror
+// images (u, v) leave column a for column b. The neighbour relation is
+// symmetric, so the mirror count of each touched j is X_j(v) too, and the
+// j = a and j = b cases need no special handling.
+func (sc *scratch) movePairs(p int, a, b int32) {
+	pairs := sc.pairs
+	ra, rb := int(a)*p, int(b)*p
+	for _, j := range sc.touched {
+		x := int64(sc.xCounts[j])
+		rj := int(j) * p
+		pairs[ra+int(j)] -= x
+		pairs[rj+int(a)] -= x
+		pairs[rb+int(j)] += x
+		pairs[rj+int(b)] += x
+	}
+}
+
+// pairCost evaluates PC(P) = Σ_a (Σ_j pairs[a·p+j]·C(a,j)) from the pair
+// counts: rows in ascending a, cells in ascending j, zero cells skipped.
+// The counts are integers and the order is fixed, so the value depends
+// only on the partition — never on the moves that led to it or on how a
+// parallel recount was split — and costs O(p²) instead of a walk over
+// every neighbourhood. It differs from metrics.CommCost's vertex-order sum
+// by rounding only.
+func pairCost(pairs []int64, cost [][]float64) float64 {
+	p := len(cost)
+	total := 0.0
+	for a, c := range cost {
+		row := 0.0
+		for j, m := range pairs[a*p : (a+1)*p] {
+			if m != 0 {
+				row += float64(m) * c[j]
+			}
+		}
+		total += row
+	}
+	return total
 }
 
 // bumpEpoch advances the gather epoch, handling the (extremely long run)

@@ -44,6 +44,10 @@ type StreamStats struct {
 	// bound; ExactSettles counts blocks settled by scoring a single member.
 	BlockRejections int64 `json:"block_rejections,omitempty"`
 	ExactSettles    int64 `json:"exact_settles,omitempty"`
+	// TouchedPruned counts touched partitions the uniform and blocked
+	// scans dismissed by their O(1) communication bound instead of paying
+	// the O(|touched|) exact sum.
+	TouchedPruned int64 `json:"touched_pruned,omitempty"`
 }
 
 // Add accumulates o into s.
@@ -61,6 +65,7 @@ func (s *StreamStats) Add(o StreamStats) {
 	s.BlockedWork += o.BlockedWork
 	s.BlockRejections += o.BlockRejections
 	s.ExactSettles += o.ExactSettles
+	s.TouchedPruned += o.TouchedPruned
 }
 
 // IsZero reports whether no activity was recorded.

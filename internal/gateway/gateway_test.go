@@ -478,6 +478,40 @@ func TestGatewayBadRequest(t *testing.T) {
 	}
 }
 
+// TestGatewayRejectsOversizedMachine checks that the gateway refuses a
+// machine spec past the core bound itself, with 400 invalid_request,
+// without forwarding it or ejecting the backend.
+func TestGatewayRejectsOversizedMachine(t *testing.T) {
+	b := newBackend(t, nil)
+	g := newGateway(t, b.URL)
+	gw := httptest.NewServer(NewHandler(g))
+	t.Cleanup(gw.Close)
+	wire := tinyWire(0)
+	wire.Machine.Cores = 100000
+	payload, err := json.Marshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := gw.Client().Post(gw.URL+"/v1/partition", "application/json", strings.NewReader(string(payload)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body hyperpraw.ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || body.Error.Code != hyperpraw.ErrCodeInvalidRequest ||
+		!strings.Contains(body.Error.Message, "cores") {
+		t.Fatalf("status %d %+v, want 400 %s on cores", resp.StatusCode, body.Error, hyperpraw.ErrCodeInvalidRequest)
+	}
+	for _, st := range g.Backends() {
+		if !st.Healthy {
+			t.Fatalf("backend %s ejected by a bad request", st.URL)
+		}
+	}
+}
+
 // TestGateway404FailsOverWithoutEjecting covers the restarted-backend
 // case: a backend that has forgotten a job (404) triggers a failover for
 // that job but must not be ejected from routing — a job-level miss is not

@@ -149,62 +149,21 @@ func ConnectivityMinusOne(h *hypergraph.Hypergraph, parts []int32, k int) int64 
 // neighbour relations, each weighted by how expensive the link between the
 // two partitions is.
 //
-// CommCost allocates its scan buffers per call; callers that evaluate PC(P)
-// repeatedly (the restreaming convergence check does so every iteration)
-// should hold a CommScanner instead.
+// It is the reference evaluation, walking every vertex's neighbourhood;
+// the restreaming kernel monitors the same quantity incrementally.
 func CommCost(h *hypergraph.Hypergraph, parts []int32, cost [][]float64) float64 {
-	return NewCommScanner().CommCost(h, parts, cost)
-}
-
-// CommScanner computes CommCost with reusable scan buffers, so repeated
-// evaluations (one per restreaming iteration) stop allocating. The buffers
-// grow to the largest (vertices, partitions) pair seen and are retained; a
-// CommScanner is not safe for concurrent use.
-type CommScanner struct {
-	vstamp  []int
-	pstamp  []int
-	counts  []float64
-	touched []int32
-	epoch   int
-}
-
-// NewCommScanner returns an empty scanner; buffers are sized lazily on the
-// first CommCost call.
-func NewCommScanner() *CommScanner { return &CommScanner{} }
-
-// CommCost is the allocation-free equivalent of the package-level CommCost.
-func (s *CommScanner) CommCost(h *hypergraph.Hypergraph, parts []int32, cost [][]float64) float64 {
-	return s.CommCostRange(h, parts, cost, 0, h.NumVertices())
-}
-
-// CommCostRange returns the [lo, hi) vertex range's contribution to PC(P):
-// Σ_{v ∈ [lo,hi)} T_{part(v)}(v). PC(P) is a sum of per-vertex terms, so
-// partials over a disjoint cover of the vertex set sum to CommCost exactly
-// up to floating-point reassociation across range boundaries — and the full
-// range reproduces CommCost bit for bit. The parallel kernel's convergence
-// scan evaluates one range per worker (each with its own scanner) and merges
-// the partials at the superstep barrier.
-func (s *CommScanner) CommCostRange(h *hypergraph.Hypergraph, parts []int32, cost [][]float64, lo, hi int) float64 {
 	k := len(cost)
 	nv := h.NumVertices()
-	// The epoch counter persists across calls, so freshly grown (zeroed) or
-	// shrunk (stale-stamped) buffers never alias a live stamp.
-	if cap(s.vstamp) < nv {
-		s.vstamp = make([]int, nv)
-	}
-	vstamp := s.vstamp[:nv]
-	if cap(s.pstamp) < k {
-		s.pstamp = make([]int, k)
-		s.counts = make([]float64, k)
-	}
-	pstamp := s.pstamp[:k]
-	counts := s.counts[:k]
-	touched := s.touched[:0]
-	epoch := s.epoch
+	// Epoch stamps make the distinct-neighbour count O(1) to clear per
+	// vertex: epoch v+1 marks v's neighbourhood.
+	vstamp := make([]int, nv)
+	pstamp := make([]int, k)
+	counts := make([]float64, k)
+	var touched []int32
 
 	total := 0.0
-	for v := lo; v < hi; v++ {
-		epoch++
+	for v := 0; v < nv; v++ {
+		epoch := v + 1
 		vstamp[v] = epoch // never count v as its own neighbour
 		touched = touched[:0]
 		home := parts[v]
@@ -227,8 +186,6 @@ func (s *CommScanner) CommCostRange(h *hypergraph.Hypergraph, parts []int32, cos
 			total += counts[p] * cost[home][p]
 		}
 	}
-	s.touched = touched[:0]
-	s.epoch = epoch
 	return total
 }
 
@@ -237,19 +194,10 @@ func (s *CommScanner) CommCostRange(h *hypergraph.Hypergraph, parts []int32, cos
 // (hyperedge, neighbour) incidence contributes w(e)·C(part(v), part(u))
 // rather than counting each distinct neighbour once. With unit weights it
 // still differs from CommCost by counting a neighbour once per shared edge,
-// which models per-edge communication volume.
+// which models per-edge communication volume. It allocates nothing.
 func WeightedCommCost(h *hypergraph.Hypergraph, parts []int32, cost [][]float64) float64 {
-	return WeightedCommCostRange(h, parts, cost, 0, h.NumEdges())
-}
-
-// WeightedCommCostRange returns the [lo, hi) hyperedge range's contribution
-// to the weighted comm cost. The metric is a sum of per-edge terms, so
-// partials over a disjoint cover of the edge set sum to WeightedCommCost
-// (exactly so for the full range); the parallel kernel evaluates one edge
-// range per worker and merges at the barrier. It allocates nothing.
-func WeightedCommCostRange(h *hypergraph.Hypergraph, parts []int32, cost [][]float64, lo, hi int) float64 {
 	total := 0.0
-	for e := lo; e < hi; e++ {
+	for e := 0; e < h.NumEdges(); e++ {
 		w := float64(h.EdgeWeight(e))
 		pins := h.Pins(e)
 		for _, u := range pins {

@@ -313,94 +313,3 @@ func TestQuickImbalanceAtLeastOne(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestCommCostRangePartialsSum checks the parallel-reduction contract of
-// CommCostRange: partials over a disjoint cover of the vertex set sum to the
-// full scan (within float reassociation slack), the full range reproduces
-// CommCost bit for bit, and independent scanners agree with a shared one.
-func TestCommCostRangePartialsSum(t *testing.T) {
-	rng := stats.NewRNG(17)
-	nv, ne, k := 200, 300, 8
-	b := hypergraph.NewBuilder(nv)
-	for e := 0; e < ne; e++ {
-		card := rng.Intn(5) + 2
-		pins := make([]int, card)
-		for i := range pins {
-			pins[i] = rng.Intn(nv)
-		}
-		b.AddEdge(pins...)
-	}
-	h := b.Build()
-	parts := make([]int32, nv)
-	for v := range parts {
-		parts[v] = int32(rng.Intn(k))
-	}
-	cost := profile.UniformCost(k)
-	cost[1][2], cost[2][1] = 3, 3 // break uniformity
-
-	full := CommCost(h, parts, cost)
-	if got := NewCommScanner().CommCostRange(h, parts, cost, 0, nv); got != full {
-		t.Fatalf("full range %g != CommCost %g (must be bitwise identical)", got, full)
-	}
-	for _, pieces := range []int{2, 3, 7} {
-		sum := 0.0
-		chunk := (nv + pieces - 1) / pieces
-		for w := 0; w < pieces; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > nv {
-				hi = nv
-			}
-			sum += NewCommScanner().CommCostRange(h, parts, cost, lo, hi)
-		}
-		if math.Abs(sum-full) > 1e-9*(math.Abs(full)+1) {
-			t.Fatalf("%d-piece partials sum %g, full %g", pieces, sum, full)
-		}
-	}
-	// Empty and degenerate ranges contribute nothing.
-	sc := NewCommScanner()
-	if got := sc.CommCostRange(h, parts, cost, 50, 50); got != 0 {
-		t.Fatalf("empty range cost %g", got)
-	}
-}
-
-// TestWeightedCommCostRangePartialsSum is the edge-range analogue for the
-// hyperedge-weighted metric.
-func TestWeightedCommCostRangePartialsSum(t *testing.T) {
-	rng := stats.NewRNG(18)
-	nv, ne, k := 150, 220, 6
-	b := hypergraph.NewBuilder(nv)
-	for e := 0; e < ne; e++ {
-		card := rng.Intn(4) + 2
-		pins := make([]int, card)
-		for i := range pins {
-			pins[i] = rng.Intn(nv)
-		}
-		b.AddWeightedEdge(int64(1+rng.Intn(4)), pins...)
-	}
-	h := b.Build()
-	parts := make([]int32, nv)
-	for v := range parts {
-		parts[v] = int32(rng.Intn(k))
-	}
-	cost := profile.UniformCost(k)
-
-	full := WeightedCommCost(h, parts, cost)
-	if got := WeightedCommCostRange(h, parts, cost, 0, h.NumEdges()); got != full {
-		t.Fatalf("full range %g != WeightedCommCost %g", got, full)
-	}
-	sum := 0.0
-	pieces, nE := 4, h.NumEdges()
-	chunk := (nE + pieces - 1) / pieces
-	for w := 0; w < pieces; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > nE {
-			hi = nE
-		}
-		sum += WeightedCommCostRange(h, parts, cost, lo, hi)
-	}
-	if math.Abs(sum-full) > 1e-9*(math.Abs(full)+1) {
-		t.Fatalf("edge-range partials sum %g, full %g", sum, full)
-	}
-}

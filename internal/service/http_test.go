@@ -105,6 +105,34 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 }
 
+// TestHTTPRejectsOversizedMachine checks the wire bound on machine cores:
+// a spec past the limit is refused with 400 invalid_request at parse time,
+// through both the JSON body and the raw-upload query parameters, before
+// anything machine-sized is allocated.
+func TestHTTPRejectsOversizedMachine(t *testing.T) {
+	ts, _ := newTestServer(t, Config{Workers: 1})
+	for _, tc := range []struct{ path, contentType, body string }{
+		{"/v1/partition", "application/json",
+			`{"algorithm":"aware","machine":{"kind":"archer","cores":100000},"hmetis":"1 2\n1 2\n"}`},
+		{"/v1/partition?algorithm=aware&machine=cloud&cores=1025", "text/plain", "1 2\n1 2\n"},
+	} {
+		resp, err := ts.Client().Post(ts.URL+tc.path, tc.contentType, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body hyperpraw.ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || body.Error.Code != hyperpraw.ErrCodeInvalidRequest ||
+			!strings.Contains(body.Error.Message, "cores") {
+			t.Fatalf("%s: status %d %+v, want 400 %s on cores", tc.path, resp.StatusCode, body.Error, hyperpraw.ErrCodeInvalidRequest)
+		}
+	}
+}
+
 func TestHTTPRawHMetisUpload(t *testing.T) {
 	ts, _ := newTestServer(t, Config{Workers: 2})
 	c := client.New(ts.URL, ts.Client())

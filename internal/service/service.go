@@ -182,7 +182,7 @@ func ParseRequest(wire hyperpraw.PartitionRequest) (Request, error) {
 	if err != nil {
 		return Request{}, err
 	}
-	if _, err := wire.Machine.Build(); err != nil {
+	if err := wire.Machine.Validate(); err != nil {
 		return Request{}, err
 	}
 	req := Request{

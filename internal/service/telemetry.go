@@ -201,6 +201,7 @@ func (m *serviceMetrics) recordKernel(ks hyperpraw.KernelStats) {
 		{"blocked_work", ks.BlockedWork},
 		{"block_rejections", ks.BlockRejections},
 		{"exact_settles", ks.ExactSettles},
+		{"touched_pruned", ks.TouchedPruned},
 	} {
 		if ev.n != 0 {
 			m.kernel.WithLabelValues(ev.name).Add(float64(ev.n))

@@ -88,20 +88,39 @@ func (m MachineSpec) Key() string {
 	return fmt.Sprintf("%s/%d/s%d", m.Kind, m.Cores, m.Seed)
 }
 
-// Build constructs the machine the spec describes.
-func (m MachineSpec) Build() (*Machine, error) {
+// maxMachineCores bounds the core count a spec may ask for. Building a
+// machine allocates cores×cores bandwidth and cost matrices, and the
+// kernel keeps a cores×cores neighbour-pair matrix per run, so the bound
+// is what keeps a wire request from asking for gigabytes: 1024 covers the
+// paper's 576-core ARCHER runs and the largest kernel benchmark.
+const maxMachineCores = 1024
+
+// Validate checks the spec without building it: a known kind and
+// 2 ≤ cores ≤ 1024 after defaults. It allocates nothing, so request
+// parsing can reject a bad spec before any machine-sized allocation.
+func (m MachineSpec) Validate() error {
 	m = m.Normalize()
-	if m.Cores < 2 {
-		return nil, fmt.Errorf("hyperpraw: machine needs at least 2 cores, got %d", m.Cores)
+	if m.Cores < 2 || m.Cores > maxMachineCores {
+		return fmt.Errorf("hyperpraw: machine cores %d out of range [2, %d]", m.Cores, maxMachineCores)
 	}
 	switch m.Kind {
-	case "archer":
-		return NewArcherMachine(m.Cores, m.Seed), nil
-	case "cloud":
-		return NewCloudMachine(m.Cores, m.Seed), nil
+	case "archer", "cloud":
+		return nil
 	default:
-		return nil, fmt.Errorf("hyperpraw: unknown machine kind %q (want archer or cloud)", m.Kind)
+		return fmt.Errorf("hyperpraw: unknown machine kind %q (want archer or cloud)", m.Kind)
 	}
+}
+
+// Build constructs the machine the spec describes, after Validate.
+func (m MachineSpec) Build() (*Machine, error) {
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	m = m.Normalize()
+	if m.Kind == "cloud" {
+		return NewCloudMachine(m.Cores, m.Seed), nil
+	}
+	return NewArcherMachine(m.Cores, m.Seed), nil
 }
 
 // InstanceSpec asks the service to synthesise a Table 1 catalog instance.

@@ -71,6 +71,37 @@ func TestMachineSpec(t *testing.T) {
 	}
 }
 
+// TestMachineSpecValidate pins the wire bound on machine specs: a known
+// kind and 2 ≤ cores ≤ maxMachineCores, checked without building the
+// machine (and without allocating, so the HTTP handlers can afford it
+// before admission control), with Build refusing exactly what Validate
+// refuses.
+func TestMachineSpecValidate(t *testing.T) {
+	for _, spec := range []MachineSpec{
+		{}, {Kind: "cloud", Cores: 2}, {Kind: "archer", Cores: maxMachineCores},
+	} {
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+	}
+	for _, spec := range []MachineSpec{
+		{Kind: "archer", Cores: 1}, {Kind: "archer", Cores: -4},
+		{Kind: "cloud", Cores: maxMachineCores + 1}, {Kind: "archer", Cores: 100000},
+		{Kind: "abacus", Cores: 8},
+	} {
+		if err := spec.Validate(); err == nil {
+			t.Fatalf("%+v accepted", spec)
+		}
+		if _, err := spec.Build(); err == nil {
+			t.Fatalf("%+v built", spec)
+		}
+	}
+	ok := MachineSpec{Kind: "archer", Cores: 576}
+	if avg := testing.AllocsPerRun(10, func() { _ = ok.Validate() }); avg != 0 {
+		t.Fatalf("Validate allocates %.1f objects per call", avg)
+	}
+}
+
 func TestServeOptionsBridge(t *testing.T) {
 	var nilOpts *ServeOptions
 	if nilOpts.Options() != nil {
