@@ -28,10 +28,12 @@ vet:
 # sudogs after a GC clears its caches, and at 3x that one-time noise can
 # round up to 1 allocs/op; 30 iterations amortise it back below the
 # integer floor without inflating the job (a warm superstep is ~10^-1 s).
+# Every point runs three times (-count 3) and benchfmt records its median,
+# so one sample taken while a shared host was busy cannot set a point.
 bench:
 	set -o pipefail; \
-	{ $(GO) test -run '^$$' -bench 'BenchmarkStream' -benchtime 3x -benchmem ./internal/core/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkParallel(Aware|Uniform)' -benchtime 30x -benchmem ./internal/core/; } \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkStream' -benchtime 3x -count 3 -benchmem ./internal/core/ && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkParallel(Aware|Uniform)' -benchtime 30x -count 3 -benchmem ./internal/core/; } \
 		| $(GO) run ./cmd/benchfmt -o BENCH_core.json
 
 # bench-compare re-runs the smoke benchmarks (same sampling as the
@@ -42,8 +44,8 @@ bench:
 # and worker pools that quietly serialise.
 bench-compare:
 	set -o pipefail; \
-	{ $(GO) test -run '^$$' -bench 'BenchmarkStream' -benchtime 3x -benchmem ./internal/core/ && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkParallel(Aware|Uniform)' -benchtime 30x -benchmem ./internal/core/; } \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkStream' -benchtime 3x -count 3 -benchmem ./internal/core/ && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkParallel(Aware|Uniform)' -benchtime 30x -count 3 -benchmem ./internal/core/; } \
 		| $(GO) run ./cmd/benchfmt -o BENCH_new.json -compare BENCH_core.json -threshold 1.5
 
 bins:

@@ -15,7 +15,9 @@
 // against a committed baseline: the per-family exhaustive/fast speedup
 // ratios must not have collapsed by more than -threshold (default 1.5),
 // and any benchmark the baseline records at zero allocs/op must still
-// allocate nothing. Speedups are within-run ratios and alloc counts are
+// allocate nothing. A benchmark that appears several times on stdin (go
+// test -count N) is recorded once, at its median ns/op, so one noisy
+// sample cannot set a point. Speedups are within-run ratios and alloc counts are
 // exact, so both checks are robust to the absolute timing noise of CI
 // machines while still catching a fast-path revert — a reverted fast
 // kernel drags its family's speedup to ~1x, which trips the threshold no
@@ -46,6 +48,9 @@ type benchLine struct {
 	// baseline family as a regression.
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64   `json:"allocs_per_op,omitempty"`
+	// Samples is how many result lines were folded into this one (see
+	// foldRepeats); absent for a single sample.
+	Samples int `json:"samples,omitempty"`
 }
 
 type report struct {
@@ -112,6 +117,7 @@ func main() {
 		os.Exit(1)
 	}
 
+	rep.Benchmarks = foldRepeats(rep.Benchmarks)
 	foldSpeedups(&rep)
 	keys := sortedKeys(rep.Speedups)
 
@@ -192,6 +198,44 @@ func parseLine(rep *report, line string) {
 		}
 	}
 	rep.Benchmarks = append(rep.Benchmarks, bl)
+}
+
+// foldRepeats merges the result lines of a benchmark that ran several
+// times into one line, in order of first appearance: the median ns/op,
+// so a single slow or fast sample cannot set a point, and the largest
+// B/op and allocs/op, so the zero-alloc contract holds for every sample.
+func foldRepeats(lines []benchLine) []benchLine {
+	idx := map[string]int{}
+	var out []benchLine
+	var ns [][]float64
+	for _, b := range lines {
+		i, ok := idx[b.Name]
+		if !ok {
+			idx[b.Name] = len(out)
+			out = append(out, b)
+			ns = append(ns, []float64{b.NsPerOp})
+			continue
+		}
+		ns[i] = append(ns[i], b.NsPerOp)
+		out[i].BytesPerOp = maxOf(out[i].BytesPerOp, b.BytesPerOp)
+		out[i].AllocsPerOp = maxOf(out[i].AllocsPerOp, b.AllocsPerOp)
+	}
+	for i, s := range ns {
+		if n := len(s); n > 1 {
+			sort.Float64s(s)
+			out[i].NsPerOp = (s[(n-1)/2] + s[n/2]) / 2
+			out[i].Samples = n
+		}
+	}
+	return out
+}
+
+// maxOf returns the larger of two optional values; nil is absent, not 0.
+func maxOf[T int64 | float64](a, b *T) *T {
+	if a == nil || (b != nil && *b > *a) {
+		return b
+	}
+	return a
 }
 
 // foldSpeedups derives the two speedup views from the raw benchmark lines:

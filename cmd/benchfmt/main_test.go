@@ -72,6 +72,31 @@ func TestParseLineRecordsProcs(t *testing.T) {
 	}
 }
 
+func TestFoldRepeatsTakesMedian(t *testing.T) {
+	zero, one := int64(0), int64(1)
+	lines := []benchLine{
+		bl("BenchmarkStream/fast/p=8", 30), bl("BenchmarkStream/fast/p=64", 7),
+		bl("BenchmarkStream/fast/p=8", 10), bl("BenchmarkStream/fast/p=8", 90),
+		bl("BenchmarkStream/fast/p=64", 5),
+	}
+	lines[0].AllocsPerOp, lines[2].AllocsPerOp, lines[3].AllocsPerOp = &zero, &one, &zero
+	got := foldRepeats(lines)
+	if len(got) != 2 {
+		t.Fatalf("folded %+v, want 2 lines", got)
+	}
+	p8, p64 := got[0], got[1]
+	if p8.Name != "BenchmarkStream/fast/p=8" || p8.NsPerOp != 30 || p8.Samples != 3 ||
+		p8.AllocsPerOp == nil || *p8.AllocsPerOp != 1 {
+		t.Fatalf("p=8 folded to %+v, want median 30 over 3 samples, allocs 1", p8)
+	}
+	if p64.NsPerOp != 6 || p64.Samples != 2 || p64.AllocsPerOp != nil {
+		t.Fatalf("p=64 folded to %+v, want median 6 over 2 samples, no allocs", p64)
+	}
+	if single := foldRepeats([]benchLine{bl("BenchmarkRun", 50)}); single[0].Samples != 0 || single[0].NsPerOp != 50 {
+		t.Fatalf("single sample folded to %+v", single[0])
+	}
+}
+
 func TestParseWorkers(t *testing.T) {
 	cases := []struct {
 		seg string

@@ -169,6 +169,31 @@ func BenchmarkRunFrontier(b *testing.B) {
 	}
 }
 
+// BenchmarkRunWideMachine measures full runs of a small hypergraph on a
+// 1024-partition machine. Its neighbour pairs fill few of the p² cells of
+// the convergence check's pair matrix, the regime in which a dense O(p²)
+// sum per pass would cost more than the neighbourhood walk it replaces.
+func BenchmarkRunWideMachine(b *testing.B) {
+	h := randomHG(77, 1000, 1000, 8)
+	for _, tc := range []struct {
+		name string
+		cost [][]float64
+	}{{"uniform", profile.UniformCost(1024)}, {"hier2", hier2Cost(1024)}} {
+		cfg := DefaultConfig(tc.cost)
+		cfg.Index = BuildCostIndex(tc.cost)
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pr, err := New(h, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pr.Run()
+				pr.Release()
+			}
+		})
+	}
+}
+
 // benchParallelStream measures one warm parallel superstep — stream, barrier
 // reductions, ownership rebalance — on a persistent worker pool, the exact
 // unit the serial benchStream measures plus the convergence check the serial

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"hyperpraw/internal/hypergraph"
@@ -37,10 +38,17 @@ func naivePairs(h *hypergraph.Hypergraph, parts []int32, p int, weighted bool) [
 	return pairs
 }
 
-func samePairs(got, want []int64) error {
+// samePairs compares the kernel's pair counts with a recount, and checks
+// that every nonzero cell is marked in the bitmap.
+func samePairs(got *pairCounts, want []int64) error {
+	p := got.p
 	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("pairs[%d] = %d, recount %d", i, got[i], want[i])
+		if got.m[i] != want[i] {
+			return fmt.Errorf("pairs[%d] = %d, recount %d", i, got.m[i], want[i])
+		}
+		a, j := i/p, i%p
+		if want[i] != 0 && got.nz[a*got.words+j/64]>>(j%64)&1 == 0 {
+			return fmt.Errorf("pairs[%d] = %d but is not marked", i, want[i])
 		}
 	}
 	return nil
@@ -103,47 +111,51 @@ func pairCountCases(p int, nv int) []struct {
 // convergence check: after every pass of a serial run, the pair counts the
 // stream maintained move by move equal a recount from the partition, for
 // every scan strategy and config corner and in both neighbour-count modes.
+// p = 80 gives rows two bitmap words, the second one partial, and the
+// alternation of p across runs makes pooled matrices change layout, while
+// consecutive runs at one p reuse a matrix its previous run left nonzero.
 func TestPairCountsMatchRecount(t *testing.T) {
 	h := randomHG(31, 300, 420, 8)
-	p := 32
 	for _, weighted := range []bool{false, true} {
-		for _, tc := range pairCountCases(p, h.NumVertices()) {
-			label := fmt.Sprintf("%s/edgeweights=%v", tc.label, weighted)
-			cfg := DefaultConfig(tc.cost)
-			cfg.MaxIterations = 25
-			cfg.UseEdgeWeights = weighted
-			cfg.forceTouchedOnly = true
-			if tc.mut != nil {
-				tc.mut(&cfg)
-			}
-			var pr *Partitioner
-			passes := 0
-			var failed error
-			cfg.Progress = func(IterationStats) {
-				passes++
-				if failed == nil {
-					failed = samePairs(pr.sc.pairs, naivePairs(h, pr.parts, p, weighted))
+		for _, p := range []int{32, 80} {
+			for _, tc := range pairCountCases(p, h.NumVertices()) {
+				label := fmt.Sprintf("p=%d/%s/edgeweights=%v", p, tc.label, weighted)
+				cfg := DefaultConfig(tc.cost)
+				cfg.MaxIterations = 25
+				cfg.UseEdgeWeights = weighted
+				cfg.forceTouchedOnly = true
+				if tc.mut != nil {
+					tc.mut(&cfg)
 				}
-			}
-			pr, err := New(h, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pr.Run()
-			pr.Release()
-			if failed != nil {
-				t.Fatalf("%s: %v", label, failed)
-			}
-			if passes < 2 {
-				t.Fatalf("%s: only %d passes checked", label, passes)
+				var pr *Partitioner
+				passes := 0
+				var failed error
+				cfg.Progress = func(IterationStats) {
+					passes++
+					if failed == nil {
+						failed = samePairs(&pr.sc.pairs, naivePairs(h, pr.parts, p, weighted))
+					}
+				}
+				pr, err := New(h, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pr.Run()
+				pr.Release()
+				if failed != nil {
+					t.Fatalf("%s: %v", label, failed)
+				}
+				if passes < 2 {
+					t.Fatalf("%s: only %d passes checked", label, passes)
+				}
 			}
 		}
 	}
 }
 
 // TestParallelPairCountsMatchRecount checks the parallel run's matrix after
-// every superstep: maintained by the lone worker at w=1, summed from
-// per-worker barrier partials at w=2.
+// every superstep: maintained by the lone worker at w=1, recounted by
+// row range at every barrier at w=2.
 func TestParallelPairCountsMatchRecount(t *testing.T) {
 	h := randomHG(32, 300, 420, 8)
 	p := 32
@@ -171,7 +183,7 @@ func TestParallelPairCountsMatchRecount(t *testing.T) {
 				var failed error
 				cfg.Progress = func(IterationStats) {
 					if failed == nil {
-						failed = samePairs(run.pool[0].sc.pairs, naivePairs(h, run.s.snapshot, p, weighted))
+						failed = samePairs(run.s.pairs, naivePairs(h, run.s.snapshot, p, weighted))
 					}
 				}
 				run = newParallelRun(h, cfg, cidx, workers)
@@ -182,6 +194,34 @@ func TestParallelPairCountsMatchRecount(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestParallelRunKeepsOnePairMatrix bounds a parallel run's memory: the
+// pair matrix is one p×p array per run, whatever the worker count, so an
+// 8-worker run at p = 256 on a small hypergraph allocates about one matrix
+// (512 KB), not one per worker. Two GCs empty the scratch pool first, so
+// every buffer the run needs is a fresh allocation.
+func TestParallelRunKeepsOnePairMatrix(t *testing.T) {
+	h := randomHG(34, 300, 420, 8)
+	p, workers := 256, 8
+	pr, err := New(h, DefaultConfig(hier2Cost(p)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, cidx := pr.cfg, pr.cidx
+	pr.Release()
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run := newParallelRun(h, cfg, cidx, workers)
+	run.close()
+	runtime.ReadMemStats(&after)
+	matrix := uint64(8 * p * p)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*matrix {
+		t.Fatalf("building a %d-worker run at p=%d allocated %d bytes, want at most %d (one pair matrix is %d)",
+			workers, p, got, 2*matrix, matrix)
 	}
 }
 

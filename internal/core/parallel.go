@@ -50,8 +50,8 @@ const (
 	// phaseCollect: copy the worker's vertex range of the shared assignment
 	// into the pass snapshot and census vertices per cost-tier block.
 	phaseCollect
-	// phaseScan: recount the worker's vertex range of the pass snapshot
-	// into its neighbour-pair partial (see scratch.countPairs).
+	// phaseScan: recount the worker's row range of the run's neighbour-pair
+	// matrix from the pass snapshot (see scratch.countPairs).
 	phaseScan
 )
 
@@ -146,6 +146,12 @@ type parallelState struct {
 	// scan phase reduces over it.
 	snapshot []int32
 
+	// pairs is the run's one neighbour-pair matrix (the first worker's
+	// scratch.pairs): the lone worker of a w=1 run maintains it move by
+	// move; with several workers each recounts its own row range of it at
+	// every barrier, so the run holds one matrix however many workers it has.
+	pairs *pairCounts
+
 	// Block-aligned ownership (blockAligned == true): blockOwner maps each
 	// cost-tier block to the worker that streams its vertices this pass,
 	// reassigned every superstep by rebalanceBlocks from the census.
@@ -227,6 +233,7 @@ func newParallelRun(h *hypergraph.Hypergraph, cfg Config, cidx *CostIndex, worke
 	}
 
 	vchunk := (nv + workers - 1) / workers
+	pchunk := (p + workers - 1) / workers
 	r.pool = make([]*parallelWorker, workers)
 	for id := 0; id < workers; id++ {
 		w := &parallelWorker{
@@ -236,6 +243,7 @@ func newParallelRun(h *hypergraph.Hypergraph, cfg Config, cidx *CostIndex, worke
 		}
 		r.pool[id] = w
 		w.lo, w.hi = clampRange(id*vchunk, vchunk, nv)
+		w.rowLo, w.rowHi = clampRange(id*pchunk, pchunk, p)
 		// The worker's load view reuses the scratch's serial load buffer
 		// (parallel workers share assignment state, so it is otherwise
 		// idle). The delta buffer must be re-zeroed: a pooled scratch may
@@ -264,6 +272,8 @@ func newParallelRun(h *hypergraph.Hypergraph, cfg Config, cidx *CostIndex, worke
 			), func(context.Context) { w.main() })
 		}(w, id)
 	}
+	s.pairs = &r.pool[0].sc.pairs
+	s.pairs.size(p)
 	if s.blockAligned {
 		// Seed ownership from the initial assignment so the first stream
 		// is already block-aligned.
@@ -400,20 +410,14 @@ func (r *parallelRun) superstep(pass int, alpha float64, frontier bool) (moves i
 
 // commCost returns PC(P) of the current snapshot from the pair counts. A
 // single worker's counts are current already; with several workers each
-// recounts its vertex range and the partials are added into the first
-// worker's matrix. Integer addition is exact in any order and pairCost's
-// order is fixed, so the value is the serial one bit for bit.
+// recounts its row range of the matrix. The integer matrix of a partition
+// is unique and its cost's order is fixed, so the value is the serial one
+// bit for bit.
 func (r *parallelRun) commCost() float64 {
-	pairs := r.pool[0].sc.pairs
 	if len(r.pool) > 1 {
 		r.dispatch(passCmd{phase: phaseScan})
-		for _, w := range r.pool[1:] {
-			for i, m := range w.sc.pairs {
-				pairs[i] += m
-			}
-		}
 	}
-	return pairCost(pairs, r.s.cfg.CostMatrix)
+	return r.s.pairs.cost(r.s.cfg.CostMatrix)
 }
 
 // run executes the driver loop — structurally identical to the serial Run,
@@ -581,10 +585,11 @@ type parallelWorker struct {
 	// filled during phaseCollect (blockAligned runs only).
 	blockVerts []int64
 
-	// lo/hi is the worker's vertex range for the barrier reductions
-	// (collect and scan); stream ownership is by block or stride, not
-	// range.
-	lo, hi int
+	// lo/hi is the worker's vertex range for the collect reduction, and
+	// rowLo/rowHi its row range of the pair matrix for the scan; stream
+	// ownership is by block or stride, not range.
+	lo, hi       int
+	rowLo, rowHi int
 
 	// passMoves is the pass's move count, summed at the barrier.
 	passMoves int64
@@ -630,11 +635,11 @@ func (w *parallelWorker) collect() {
 	}
 }
 
-// scan recounts the worker's vertex range of the pass snapshot into its
-// neighbour-pair partial.
+// scan recounts the worker's row range of the run's pair matrix from the
+// pass snapshot.
 func (w *parallelWorker) scan() {
 	s := w.s
-	w.sc.countPairs(s.h, s.snapshot, s.p, s.cfg.UseEdgeWeights, w.lo, w.hi)
+	w.sc.countPairs(s.h, s.snapshot, s.cfg.UseEdgeWeights, s.pairs, w.rowLo, w.rowHi)
 }
 
 // flushDeltas applies the worker's batched load changes to the shared
@@ -776,7 +781,7 @@ func (w *parallelWorker) streamPass(pass int, alpha float64, frontierOnly bool) 
 			w.delta[bestPart] += wt
 			s.parts[v].Store(bestPart)
 			if !multi {
-				sc.movePairs(s.p, cur, bestPart)
+				sc.movePairs(cur, bestPart)
 			}
 			if fast && !scanOff {
 				if kind == costBlocked {

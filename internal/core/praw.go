@@ -356,6 +356,7 @@ func New(h *hypergraph.Hypergraph, cfg Config) (*Partitioner, error) {
 	}
 	sc := acquireScratch(h.NumVertices(), p)
 	sc.parts = growI32(sc.parts, h.NumVertices())
+	sc.pairs.size(p)
 	pr := &Partitioner{
 		h:     h,
 		cfg:   cfg,
@@ -595,7 +596,7 @@ func (pr *Partitioner) resetAssignment() {
 		pr.loads[pr.parts[v]] += w
 		pr.totalW += w
 	}
-	pr.sc.countPairs(h, pr.parts, p, pr.cfg.UseEdgeWeights, 0, nv)
+	pr.sc.countPairs(h, pr.parts, pr.cfg.UseEdgeWeights, &pr.sc.pairs, 0, p)
 }
 
 // expectedLoads returns E(i) per partition: totalW/p for homogeneous
@@ -643,9 +644,10 @@ func (pr *Partitioner) imbalance(expected []float64) float64 {
 
 // monitoredCost is the refinement-phase quality metric: PC(P) with the
 // algorithm's own cost matrix, hyperedge-weighted when UseEdgeWeights,
-// evaluated in O(p²) from the pair counts the stream keeps current.
+// evaluated from the pair counts the stream keeps current (see
+// pairCounts.cost).
 func (pr *Partitioner) monitoredCost() float64 {
-	return pairCost(pr.sc.pairs, pr.cfg.CostMatrix)
+	return pr.sc.pairs.cost(pr.cfg.CostMatrix)
 }
 
 // splitMix is a tiny local PRNG for the optional shuffled stream order
@@ -769,7 +771,7 @@ func (pr *Partitioner) stream(alpha float64, expected []float64, order []int32, 
 			pr.loads[old] -= w
 			pr.loads[bestPart] += w
 			pr.parts[v] = bestPart
-			sc.movePairs(pr.p, old, bestPart)
+			sc.movePairs(old, bestPart)
 			if fast && !scanOff {
 				if kind == costBlocked {
 					sc.blockNoteMove(pr.cidx, old, bestPart,

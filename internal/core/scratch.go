@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"hyperpraw/internal/hypergraph"
@@ -67,27 +68,25 @@ type scratch struct {
 	delta      []int64
 	blockVerts []int64
 
-	// pairs is the p×p row-major matrix of neighbour-pair counts behind
-	// the convergence check: pairs[a·p+j] counts the ordered pairs (v, u)
-	// of distinct neighbours with v in partition a and u in partition j
-	// (hyperedge-weighted with UseEdgeWeights), so PC(P) is
-	// Σ_a Σ_j pairs[a·p+j]·C(a,j) — see pairCost. A serial run recounts it
-	// when the assignment is reset and then maintains it move by move from
-	// the X_j(v) each visit already gathered; a parallel worker's copy is
-	// its partial of the barrier recount.
-	pairs []int64
+	// pairs holds the neighbour-pair counts behind the convergence check
+	// (see pairCounts). A serial run recounts them when the assignment is
+	// reset and then maintains them move by move from the X_j(v) each
+	// visit already gathered. There is one matrix per run, never one per
+	// worker: a parallel run keeps it in its first worker's scratch, and
+	// the other workers' scratches leave this field alone.
+	pairs pairCounts
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 
 // acquireScratch takes a scratch from the pool and sizes the buffers every
 // kernel needs: the gather state and the p-sized load vectors. The other
-// nv-sized buffers (parts/bestParts/order/dirty) are grown lazily by the
-// code paths that actually use them, so parallel workers — which share
-// assignment state through parallelState — and feature-off serial runs
-// don't allocate or pin arrays they never touch. Growing reallocates
-// (zeroed, which is always safe); shrinking reslices, leaving stale stamps
-// that the monotone epoch counters never collide with.
+// nv-sized buffers (parts/bestParts/order/dirty) and the p×p pair matrix
+// are grown lazily by the code paths that actually use them, so parallel
+// workers — which share assignment state through parallelState — and
+// feature-off serial runs don't allocate or pin arrays they never touch.
+// Growing reallocates (zeroed, which is always safe); shrinking reslices,
+// leaving stale stamps that the monotone epoch counters never collide with.
 func acquireScratch(nv, p int) *scratch {
 	sc := scratchPool.Get().(*scratch)
 	sc.vstamp = growI32(sc.vstamp, nv)
@@ -106,7 +105,6 @@ func acquireScratch(nv, p int) *scratch {
 	} else {
 		sc.loads = sc.loads[:p]
 	}
-	sc.pairs = growI64(sc.pairs, p*p)
 	return sc
 }
 
@@ -167,21 +165,98 @@ func (sc *scratch) gather(h *hypergraph.Hypergraph, parts []int32, v int, weight
 	}
 }
 
-// countPairs recounts the pair matrix from scratch: every vertex of
-// [lo, hi) contributes its gathered X_j(v) to row parts[v]. Over the whole
-// vertex set this is the matrix of parts; over a range it is one worker's
-// partial of the parallel barrier recount (integer partials add exactly,
-// in any order).
-func (sc *scratch) countPairs(h *hypergraph.Hypergraph, parts []int32, p int, weighted bool, lo, hi int) {
-	pairs := sc.pairs
-	for i := range pairs {
-		pairs[i] = 0
+// pairCounts is the p×p row-major matrix of neighbour-pair counts: m[a·p+j]
+// counts the ordered pairs (v, u) of distinct neighbours with v in
+// partition a and u in partition j (hyperedge-weighted with
+// UseEdgeWeights), so PC(P) is Σ_a Σ_j m[a·p+j]·C(a,j) — see cost. A small
+// hypergraph on a wide machine fills few of the p² cells, so the bitmap nz
+// marks every nonzero cell (bit j of row a's words), and the per-pass sum
+// and the recount's clear visit only marked cells, not all p². A mark may
+// outlive its count — a move only ever sets marks, so that decrements stay
+// plain subtractions — until cost or a recount next reads the cell and
+// clears it. Rows own whole bitmap words, so parallel workers recounting
+// disjoint row ranges never share a word.
+type pairCounts struct {
+	p, words int // partitions, bitmap words per row
+	m        []int64
+	nz       []uint64
+}
+
+// size lays the matrix out for p partitions. A matrix already laid out for
+// p is left as it is — its marks cover its nonzero cells, and countPairs
+// clears rows through them — so only a change of p pays the O(p²) zeroing.
+func (pc *pairCounts) size(p int) {
+	if pc.p == p {
+		return
 	}
-	for v := lo; v < hi; v++ {
+	pc.p, pc.words = p, (p+63)/64
+	pc.m = growI64(pc.m, p*p)
+	if cap(pc.nz) < p*pc.words {
+		pc.nz = make([]uint64, p*pc.words)
+	} else {
+		pc.nz = pc.nz[:p*pc.words]
+	}
+	for i := range pc.m {
+		pc.m[i] = 0
+	}
+	for i := range pc.nz {
+		pc.nz[i] = 0
+	}
+}
+
+// cost evaluates PC(P) = Σ_a (Σ_j m[a·p+j]·C(a,j)): rows in ascending a,
+// nonzero cells in ascending j, clearing the marks of cells found zero.
+// The counts are integers and the order is fixed, so the value depends
+// only on the partition — never on the moves that led to it or on how a
+// parallel recount was split across workers — and costs
+// O(p²/64 + marked cells) instead of a walk over every neighbourhood. It
+// differs from metrics.CommCost's vertex-order sum by rounding only.
+func (pc *pairCounts) cost(cost [][]float64) float64 {
+	total := 0.0
+	for a, c := range cost {
+		row := 0.0
+		m := pc.m[a*pc.p : (a+1)*pc.p]
+		marks := pc.nz[a*pc.words : (a+1)*pc.words]
+		for k, word := range marks {
+			for rest := word; rest != 0; rest &= rest - 1 {
+				j := k<<6 + bits.TrailingZeros64(rest)
+				if m[j] == 0 {
+					word &^= 1 << (j & 63)
+					continue
+				}
+				row += float64(m[j]) * c[j]
+			}
+			marks[k] = word
+		}
+		total += row
+	}
+	return total
+}
+
+// countPairs recounts rows [lo, hi) of pc: it clears their marked cells,
+// then every vertex whose partition lies in [lo, hi) adds its gathered
+// X_j(v) to its row. Over all p rows this is the matrix of parts; over a
+// row range it is one parallel worker's disjoint share of the barrier
+// recount, written straight into the run's single matrix.
+func (sc *scratch) countPairs(h *hypergraph.Hypergraph, parts []int32, weighted bool, pc *pairCounts, lo, hi int) {
+	for a := lo; a < hi; a++ {
+		marks := pc.nz[a*pc.words : (a+1)*pc.words]
+		for k, word := range marks {
+			for ; word != 0; word &= word - 1 {
+				pc.m[a*pc.p+k<<6+bits.TrailingZeros64(word)] = 0
+			}
+			marks[k] = 0
+		}
+	}
+	for v, a := range parts {
+		if int(a) < lo || int(a) >= hi {
+			continue
+		}
 		sc.gather(h, parts, v, weighted)
-		row := pairs[int(parts[v])*p:]
+		row, marks := pc.m[int(a)*pc.p:], pc.nz[int(a)*pc.words:]
 		for _, j := range sc.touched {
 			row[j] += int64(sc.xCounts[j])
+			marks[j>>6] |= 1 << (j & 63)
 		}
 	}
 }
@@ -190,40 +265,24 @@ func (sc *scratch) countPairs(h *hypergraph.Hypergraph, parts []int32, p int, we
 // to partition b: its pairs (v, u) leave row a for row b and their mirror
 // images (u, v) leave column a for column b. The neighbour relation is
 // symmetric, so the mirror count of each touched j is X_j(v) too, and the
-// j = a and j = b cases need no special handling.
-func (sc *scratch) movePairs(p int, a, b int32) {
-	pairs := sc.pairs
+// j = a and j = b cases need no special handling. Only the two cells that
+// gain pairs need marks.
+func (sc *scratch) movePairs(a, b int32) {
+	pc := &sc.pairs
+	p, m := pc.p, pc.m
 	ra, rb := int(a)*p, int(b)*p
+	marksB := pc.nz[int(b)*pc.words:]
+	kb, bitB := int(b)>>6, uint64(1)<<(b&63)
 	for _, j := range sc.touched {
 		x := int64(sc.xCounts[j])
 		rj := int(j) * p
-		pairs[ra+int(j)] -= x
-		pairs[rj+int(a)] -= x
-		pairs[rb+int(j)] += x
-		pairs[rj+int(b)] += x
+		m[ra+int(j)] -= x
+		m[rj+int(a)] -= x
+		m[rb+int(j)] += x
+		m[rj+int(b)] += x
+		marksB[j>>6] |= 1 << (j & 63)
+		pc.nz[int(j)*pc.words+kb] |= bitB
 	}
-}
-
-// pairCost evaluates PC(P) = Σ_a (Σ_j pairs[a·p+j]·C(a,j)) from the pair
-// counts: rows in ascending a, cells in ascending j, zero cells skipped.
-// The counts are integers and the order is fixed, so the value depends
-// only on the partition — never on the moves that led to it or on how a
-// parallel recount was split — and costs O(p²) instead of a walk over
-// every neighbourhood. It differs from metrics.CommCost's vertex-order sum
-// by rounding only.
-func pairCost(pairs []int64, cost [][]float64) float64 {
-	p := len(cost)
-	total := 0.0
-	for a, c := range cost {
-		row := 0.0
-		for j, m := range pairs[a*p : (a+1)*p] {
-			if m != 0 {
-				row += float64(m) * c[j]
-			}
-		}
-		total += row
-	}
-	return total
 }
 
 // bumpEpoch advances the gather epoch, handling the (extremely long run)

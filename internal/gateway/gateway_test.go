@@ -478,32 +478,42 @@ func TestGatewayBadRequest(t *testing.T) {
 	}
 }
 
-// TestGatewayRejectsOversizedMachine checks that the gateway refuses a
-// machine spec past the core bound itself, with 400 invalid_request,
-// without forwarding it or ejecting the backend.
-func TestGatewayRejectsOversizedMachine(t *testing.T) {
+// TestGatewayRejectsOversizedRequest checks that the gateway refuses a
+// machine spec past the core bound, and a parallel request past the worker
+// bound, itself with 400 invalid_request, without forwarding either or
+// ejecting the backend.
+func TestGatewayRejectsOversizedRequest(t *testing.T) {
 	b := newBackend(t, nil)
 	g := newGateway(t, b.URL)
 	gw := httptest.NewServer(NewHandler(g))
 	t.Cleanup(gw.Close)
-	wire := tinyWire(0)
-	wire.Machine.Cores = 100000
-	payload, err := json.Marshal(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := gw.Client().Post(gw.URL+"/v1/partition", "application/json", strings.NewReader(string(payload)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body hyperpraw.ErrorBody
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest || body.Error.Code != hyperpraw.ErrCodeInvalidRequest ||
-		!strings.Contains(body.Error.Message, "cores") {
-		t.Fatalf("status %d %+v, want 400 %s on cores", resp.StatusCode, body.Error, hyperpraw.ErrCodeInvalidRequest)
+	cores := tinyWire(0)
+	cores.Machine.Cores = 100000
+	workers := tinyWire(1)
+	workers.Algorithm = "aware-parallel"
+	workers.Options = &hyperpraw.ServeOptions{Workers: 4000}
+	for _, tc := range []struct {
+		wire hyperpraw.PartitionRequest
+		want string
+	}{{cores, "cores"}, {workers, "workers"}} {
+		payload, err := json.Marshal(tc.wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := gw.Client().Post(gw.URL+"/v1/partition", "application/json", strings.NewReader(string(payload)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body hyperpraw.ErrorBody
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || body.Error.Code != hyperpraw.ErrCodeInvalidRequest ||
+			!strings.Contains(body.Error.Message, tc.want) {
+			t.Fatalf("status %d %+v, want 400 %s on %s", resp.StatusCode, body.Error, hyperpraw.ErrCodeInvalidRequest, tc.want)
+		}
 	}
 	for _, st := range g.Backends() {
 		if !st.Healthy {

@@ -105,16 +105,18 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 }
 
-// TestHTTPRejectsOversizedMachine checks the wire bound on machine cores:
-// a spec past the limit is refused with 400 invalid_request at parse time,
-// through both the JSON body and the raw-upload query parameters, before
-// anything machine-sized is allocated.
-func TestHTTPRejectsOversizedMachine(t *testing.T) {
+// TestHTTPRejectsOversizedRequest checks the wire bounds on machine cores
+// and parallel workers: a request past either limit is refused with 400
+// invalid_request at parse time, through both the JSON body and the
+// raw-upload query parameters, before anything sized by it is allocated.
+func TestHTTPRejectsOversizedRequest(t *testing.T) {
 	ts, _ := newTestServer(t, Config{Workers: 1})
-	for _, tc := range []struct{ path, contentType, body string }{
+	for _, tc := range []struct{ path, contentType, body, want string }{
 		{"/v1/partition", "application/json",
-			`{"algorithm":"aware","machine":{"kind":"archer","cores":100000},"hmetis":"1 2\n1 2\n"}`},
-		{"/v1/partition?algorithm=aware&machine=cloud&cores=1025", "text/plain", "1 2\n1 2\n"},
+			`{"algorithm":"aware","machine":{"kind":"archer","cores":100000},"hmetis":"1 2\n1 2\n"}`, "cores"},
+		{"/v1/partition?algorithm=aware&machine=cloud&cores=1025", "text/plain", "1 2\n1 2\n", "cores"},
+		{"/v1/partition", "application/json",
+			`{"algorithm":"aware-parallel","machine":{"kind":"archer","cores":8},"options":{"workers":4000},"hmetis":"1 2\n1 2\n"}`, "workers"},
 	} {
 		resp, err := ts.Client().Post(ts.URL+tc.path, tc.contentType, strings.NewReader(tc.body))
 		if err != nil {
@@ -127,8 +129,8 @@ func TestHTTPRejectsOversizedMachine(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusBadRequest || body.Error.Code != hyperpraw.ErrCodeInvalidRequest ||
-			!strings.Contains(body.Error.Message, "cores") {
-			t.Fatalf("%s: status %d %+v, want 400 %s on cores", tc.path, resp.StatusCode, body.Error, hyperpraw.ErrCodeInvalidRequest)
+			!strings.Contains(body.Error.Message, tc.want) {
+			t.Fatalf("%s: status %d %+v, want 400 %s on %s", tc.path, resp.StatusCode, body.Error, hyperpraw.ErrCodeInvalidRequest, tc.want)
 		}
 	}
 }

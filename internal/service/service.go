@@ -49,6 +49,14 @@ var (
 // a memory-exhaustion attempt.
 const maxInstanceScale = 4
 
+// maxRequestWorkers bounds options.workers of an aware-parallel request.
+// Every worker of a parallel run holds its own O(nv + p) scratch and
+// goroutine, and the kernel only caps the count at the vertex count, so
+// without a bound a large inline hypergraph could ask for nv workers and
+// nv² memory. More workers than cores only time-slice, and 256 is past the
+// core count of any one host.
+const maxRequestWorkers = 256
+
 // Config tunes a Service; the zero value selects the defaults noted on each
 // field.
 type Config struct {
@@ -184,6 +192,9 @@ func ParseRequest(wire hyperpraw.PartitionRequest) (Request, error) {
 	}
 	if err := wire.Machine.Validate(); err != nil {
 		return Request{}, err
+	}
+	if wire.Options != nil && wire.Options.Workers > maxRequestWorkers {
+		return Request{}, fmt.Errorf("service: options workers %d above the limit of %d", wire.Options.Workers, maxRequestWorkers)
 	}
 	req := Request{
 		Algorithm: algo,
