@@ -280,7 +280,8 @@ func TestTieredMatchesExhaustiveParallel(t *testing.T) {
 // and the driver loop mirrors Run — so PartitionParallel must reproduce the
 // serial result move for move (same iteration counts, per-pass move counts,
 // final assignment, and final cost) across every scan strategy, frontier
-// restreaming, capacities, and a seeded initial assignment.
+// restreaming, capacities, and a seeded initial assignment. Both drivers
+// run the same kernel, so their StreamStats counters must agree too.
 func TestParallelSingleWorkerMatchesSerialRun(t *testing.T) {
 	h := randomHG(7, 400, 500, 8)
 	p := 16
@@ -313,17 +314,23 @@ func TestParallelSingleWorkerMatchesSerialRun(t *testing.T) {
 		if tc.mut != nil {
 			tc.mut(&cfg)
 		}
+		var serialStats, parStats StreamStats
+		cfg.Stats = &serialStats
 		pr, err := New(h, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		serial := pr.Run()
 		pr.Release()
+		cfg.Stats = &parStats
 		par, err := PartitionParallel(h, cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertIdentical(t, tc.label, par, serial)
+		if parStats != serialStats {
+			t.Fatalf("%s: w=1 counters %+v, serial %+v", tc.label, parStats, serialStats)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -11,12 +10,11 @@ import (
 	"sync/atomic"
 
 	"hyperpraw/internal/hypergraph"
-	"hyperpraw/internal/metrics"
 )
 
 // ErrParallelMigration is returned by PartitionParallel when
-// Config.MigrationPenalty is set: the parallel kernel's candidate scoring
-// does not implement the migration term, and silently ignoring it would
+// Config.MigrationPenalty is set: parallel workers score candidates with a
+// zero migration penalty, and silently ignoring the configured one would
 // return partitions the caller believes migration-aware. Repartitioning
 // with a migration cost goes through the serial Run path.
 var ErrParallelMigration = errors.New("core: MigrationPenalty is not supported by PartitionParallel; use the serial Run path")
@@ -80,12 +78,13 @@ type passCmd struct {
 // caches, and most of its moves stay block-local. Uniform or unstructured
 // matrices fall back to a round-robin vertex stride. Shared load counters
 // are cache-line padded and written only through per-worker deltas flushed
-// every loadSyncEvery visits; per-candidate load reads are plain reads of
-// the worker's epoch-refreshed view. The per-pass snapshot and load scans
-// run as parallel reductions across the workers, merged at the barrier in
-// worker order. PC(P) comes from the same neighbour-pair counts as Run:
-// a single worker maintains them move by move exactly as the serial
-// stream does, while with several workers, whose moves race, every
+// every loadSyncEvery visits. Each worker runs the serial kernel's pickers
+// against its epoch-refreshed load view, so per-candidate load reads are
+// plain reads, and the driver loop is Run's own. The per-pass snapshot and
+// load scans run as parallel reductions across the workers, merged at the
+// barrier in worker order. PC(P) comes from the same neighbour-pair counts
+// as Run: a single worker maintains them move by move exactly as the
+// serial stream does, while with several workers, whose moves race, every
 // barrier recounts them as per-worker partials over vertex ranges.
 //
 // Config.InitialParts seeds the assignment exactly as in Run. ShuffledOrder
@@ -94,13 +93,10 @@ type passCmd struct {
 //
 // workers <= 0 selects GOMAXPROCS. The configuration semantics match Run.
 func PartitionParallel(h *hypergraph.Hypergraph, cfg Config, workers int) (Result, error) {
-	pr, err := New(h, cfg) // reuse validation and α defaulting
+	cfg, cidx, err := prepare(h, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	cfg = pr.cfg
-	cidx := pr.cidx // immutable; safe to keep after Release
-	pr.Release()
 	if cfg.MigrationPenalty > 0 {
 		return Result{}, ErrParallelMigration
 	}
@@ -136,9 +132,8 @@ type parallelState struct {
 	// cidx is the shared (immutable) cost-tier index; per-worker scan
 	// state — block argmin caches, scored stamps — lives in each worker
 	// scratch.
-	cidx         *CostIndex
-	fastEligible bool
-	expected     []float64
+	cidx     *CostIndex
+	expected []float64
 
 	// snapshot is the start-of-pass assignment: collect fills it at every
 	// barrier, stream reads it for block ownership (so each vertex is
@@ -180,11 +175,10 @@ func newParallelRun(h *hypergraph.Hypergraph, cfg Config, cidx *CostIndex, worke
 	p := len(cfg.CostMatrix)
 	s := &parallelState{
 		h: h, cfg: cfg, p: p, nv: nv, workers: workers,
-		parts:        make([]atomic.Int32, nv),
-		loads:        make([]paddedLoad, p),
-		cidx:         cidx,
-		fastEligible: fastScanEligible(cfg, cidx, p),
-		snapshot:     make([]int32, nv),
+		parts:    make([]atomic.Int32, nv),
+		loads:    make([]paddedLoad, p),
+		cidx:     cidx,
+		snapshot: make([]int32, nv),
 	}
 	if cfg.FrontierRestreaming {
 		s.dirty = make([]int32, nv)
@@ -201,7 +195,7 @@ func newParallelRun(h *hypergraph.Hypergraph, cfg Config, cidx *CostIndex, worke
 		s.loads[part].v.Add(w)
 		totalW += w
 	}
-	s.expected = expectedLoadsFor(cfg, p, totalW)
+	s.expected = expectedLoadsFor(make([]float64, p), cfg.Capacities, totalW)
 
 	nb := len(cidx.blocks)
 	// Block-aligned ownership needs at least one block per worker; below
@@ -217,7 +211,7 @@ func newParallelRun(h *hypergraph.Hypergraph, cfg Config, cidx *CostIndex, worke
 	}
 
 	scanKind := "exhaustive"
-	if s.fastEligible {
+	if fastScanEligible(cfg, cidx, p) {
 		switch cidx.kind {
 		case costUniform:
 			scanKind = "uniform"
@@ -236,19 +230,16 @@ func newParallelRun(h *hypergraph.Hypergraph, cfg Config, cidx *CostIndex, worke
 	pchunk := (p + workers - 1) / workers
 	r.pool = make([]*parallelWorker, workers)
 	for id := 0; id < workers; id++ {
-		w := &parallelWorker{
-			run: r, s: s, id: id,
-			sc:   acquireScratch(nv, p),
-			cmds: make(chan passCmd, 1),
-		}
+		w := &parallelWorker{run: r, s: s, id: id, cmds: make(chan passCmd, 1)}
+		// The kernel's loads, the scratch's serial load buffer, serve as
+		// the worker's load view (parallel workers share assignment state,
+		// so the buffer is otherwise idle).
+		w.setup(h, &s.cfg, cidx, acquireScratch(nv, p))
 		r.pool[id] = w
 		w.lo, w.hi = clampRange(id*vchunk, vchunk, nv)
 		w.rowLo, w.rowHi = clampRange(id*pchunk, pchunk, p)
-		// The worker's load view reuses the scratch's serial load buffer
-		// (parallel workers share assignment state, so it is otherwise
-		// idle). The delta buffer must be re-zeroed: a pooled scratch may
-		// carry another run's residue.
-		w.view = w.sc.loads
+		// The delta buffer must be re-zeroed: a pooled scratch may carry
+		// another run's residue.
 		w.sc.delta = growI64(w.sc.delta, p)
 		w.delta = w.sc.delta
 		for i := range w.delta {
@@ -258,8 +249,6 @@ func newParallelRun(h *hypergraph.Hypergraph, cfg Config, cidx *CostIndex, worke
 			w.sc.blockVerts = growI64(w.sc.blockVerts, nb)
 			w.blockVerts = w.sc.blockVerts
 		}
-		w.loadOf = func(i int32) int64 { return w.view[i] }
-		w.untouched = func(i int32) bool { return w.sc.pstamp[i] != w.sc.epoch }
 		r.exit.Add(1)
 		go func(w *parallelWorker, id int) {
 			defer r.exit.Done()
@@ -377,7 +366,7 @@ func (r *parallelRun) rebalanceBlocks() {
 // superstep runs one full pass — stream, barrier reductions, ownership
 // rebalance — and returns the pass's move count, imbalance, and monitored
 // comm cost. It allocates nothing.
-func (r *parallelRun) superstep(pass int, alpha float64, frontier bool) (moves int64, imb, cost float64) {
+func (r *parallelRun) superstep(pass int, alpha float64, frontier bool) (moves int, imb, cost float64) {
 	s := r.s
 	r.dispatch(passCmd{phase: phaseStream, pass: int32(pass), alpha: alpha, frontier: frontier})
 	for _, w := range r.pool {
@@ -388,7 +377,7 @@ func (r *parallelRun) superstep(pass int, alpha float64, frontier bool) (moves i
 	for i := range r.loadsBuf {
 		r.loadsBuf[i] = s.loads[i].v.Load()
 	}
-	imb = imbalanceFor(s.cfg, r.loadsBuf, s.expected)
+	imb = imbalanceFor(s.cfg.Capacities, r.loadsBuf, s.expected)
 
 	// Snapshot copy + block census as a parallel reduction over vertex
 	// ranges (the serial O(n) barrier section of the old kernel).
@@ -420,163 +409,40 @@ func (r *parallelRun) commCost() float64 {
 	return r.s.pairs.cost(r.s.cfg.CostMatrix)
 }
 
-// run executes the driver loop — structurally identical to the serial Run,
-// with the stream and the convergence scans dispatched to the pool.
-func (r *parallelRun) run() Result {
-	s := r.s
-	cfg := s.cfg
-	nv := s.nv
+// run executes the shared driver loop (restream) over the pool.
+func (r *parallelRun) run() Result { return restream(r.s.h, &r.s.cfg, r) }
 
-	alpha := cfg.Alpha0
-	patience := cfg.Patience
-	if patience <= 0 {
-		patience = 1
-	}
-	res := Result{Stopped: StoppedMaxIterations}
-	bestParts := make([]int32, nv)
-	bestCost := math.Inf(1)
-	haveBest := false
-	badStreak := 0
+// assignment is the start-of-pass snapshot, which the collect phase
+// refreshes at every barrier.
+func (r *parallelRun) assignment() []int32 { return r.s.snapshot }
 
-	lastInTol := false
-	consecFrontier := 0
-	var passes, frontierPasses int64
-	for n := 1; n <= cfg.MaxIterations; n++ {
-		if cfg.Stop != nil && cfg.Stop() {
-			res.Stopped = StoppedCanceled
-			break
-		}
-		frontier := cfg.FrontierRestreaming && n > 1 && lastInTol &&
-			consecFrontier+1 < frontierFullSweepEvery
-		if frontier {
-			consecFrontier++
-		} else {
-			consecFrontier = 0
-		}
-		passes++
-		if frontier {
-			frontierPasses++
-		}
-		moves, imb, cost := r.superstep(n, alpha, frontier)
-		res.Iterations = n
-		inTol := imb <= cfg.ImbalanceTolerance
-		lastInTol = inTol
+// bestBuffer borrows the first worker's pooled best-partition buffer.
+func (r *parallelRun) bestBuffer() []int32 { return r.pool[0].bestBuffer() }
 
-		st := IterationStats{
-			Iteration: n, CommCost: cost, Imbalance: imb, Alpha: alpha,
-			Moves: int(moves), InTolerance: inTol,
-		}
-		if cfg.RecordHistory {
-			res.History = append(res.History, st)
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(st)
-		}
-
-		if !inTol {
-			alpha *= cfg.TemperFactor
-			continue
-		}
-		if cfg.RefinementPolicy == StopAtTolerance {
-			res.Stopped = StoppedAtTolerance
-			break
-		}
-		if !haveBest || cost < bestCost {
-			bestCost = cost
-			copy(bestParts, s.snapshot)
-			haveBest = true
-			badStreak = 0
-		} else {
-			badStreak++
-			if badStreak >= patience {
-				res.Stopped = StoppedNoImprovement
-				break
-			}
-		}
-		alpha *= cfg.RefinementFactor
+// takeTally merges and clears every worker's counters. Workers are
+// quiescent between dispatches, so this is race-free.
+func (r *parallelRun) takeTally() StreamStats {
+	var t StreamStats
+	for _, w := range r.pool {
+		t.Add(w.takeTally())
 	}
-
-	final := s.snapshot
-	if haveBest {
-		final = bestParts
-	}
-	res.Parts = append([]int32(nil), final...)
-	// PC(P) depends only on the partition: the best-seen one's cost is the
-	// value recorded when it was saved, otherwise the snapshot's counts
-	// give it.
-	if haveBest {
-		res.FinalCommCost = bestCost
-	} else {
-		res.FinalCommCost = r.commCost()
-	}
-	res.FinalImbalance = metrics.Imbalance(metrics.Loads(s.h, res.Parts, s.p))
-	if cfg.Stats != nil {
-		// Workers are quiescent between dispatches, so merging their
-		// tallies here is race-free.
-		total := StreamStats{Passes: passes, FrontierPasses: frontierPasses}
-		for _, w := range r.pool {
-			total.Add(w.tally)
-		}
-		cfg.Stats.Add(total)
-	}
-	return res
+	return t
 }
 
-func expectedLoadsFor(cfg Config, p int, totalW int64) []float64 {
-	expected := make([]float64, p)
-	if cfg.Capacities == nil {
-		e := float64(totalW) / float64(p)
-		if e == 0 {
-			e = 1
-		}
-		for i := range expected {
-			expected[i] = e
-		}
-		return expected
-	}
-	var capTotal float64
-	for _, c := range cfg.Capacities {
-		capTotal += c
-	}
-	for i, c := range cfg.Capacities {
-		e := float64(totalW) * c / capTotal
-		if e <= 0 {
-			e = 1
-		}
-		expected[i] = e
-	}
-	return expected
-}
-
-func imbalanceFor(cfg Config, loads []int64, expected []float64) float64 {
-	if cfg.Capacities == nil {
-		return metrics.Imbalance(loads)
-	}
-	worst := 0.0
-	for i, l := range loads {
-		if r := float64(l) / expected[i]; r > worst {
-			worst = r
-		}
-	}
-	return worst
-}
-
-// parallelWorker is one worker of the pool: a pooled scratch (gather stamps,
-// min-load index, block argmin caches — same epoch-stamp scheme as the
-// serial Partitioner), a private load view with batched deltas, and the
-// barrier-phase outputs the driver merges.
+// parallelWorker is one worker of the pool: the serial streaming kernel
+// (pooled scratch, pickers, scan caches) run against a private load view
+// with batched deltas, and the barrier-phase outputs the driver merges.
+// The kernel's loads are the view: refreshed from the shared padded
+// counters at stream start and every loadSyncEvery visits, updated in
+// place by the worker's own moves. Candidate scoring reads it with plain
+// loads — no atomics on the scoring path.
 type parallelWorker struct {
+	kernel
 	run  *parallelRun
 	s    *parallelState
 	id   int
-	sc   *scratch
 	cmds chan passCmd
 
-	// view is the worker's load view: refreshed from the shared padded
-	// counters at stream start and every loadSyncEvery visits, updated in
-	// place by the worker's own moves. Candidate scoring reads it with
-	// plain loads — no atomics on the scoring path.
-	view []int64
 	// delta accumulates the worker's unflushed load changes against the
 	// shared counters; flushDeltas applies and clears it.
 	delta []int64
@@ -592,14 +458,7 @@ type parallelWorker struct {
 	rowLo, rowHi int
 
 	// passMoves is the pass's move count, summed at the barrier.
-	passMoves int64
-
-	loadOf    func(int32) int64
-	untouched func(int32) bool
-
-	// tally accumulates this worker's kernel activity counters; the driver
-	// merges every worker's tally into Config.Stats after the last barrier.
-	tally StreamStats
+	passMoves int
 }
 
 func (w *parallelWorker) main() {
@@ -657,8 +516,8 @@ func (w *parallelWorker) flushDeltas() {
 // refreshView re-reads every shared counter into the worker's local view.
 func (w *parallelWorker) refreshView() {
 	loads := w.s.loads
-	for i := range w.view {
-		w.view[i] = loads[i].v.Load()
+	for i := range w.loads {
+		w.loads[i] = loads[i].v.Load()
 	}
 }
 
@@ -673,26 +532,15 @@ func (w *parallelWorker) streamPass(pass int, alpha float64, frontierOnly bool) 
 	h := s.h
 	me := int32(w.id)
 	multi := s.workers > 1
+	expected := s.expected
 
+	// The scan caches are seeded from the view just refreshed; a peer's
+	// later moves leave them slightly stale until the next sync point,
+	// consistent with the GraSP relaxation.
 	w.refreshView()
-	fast := s.fastEligible && alpha > 0
-	kind := s.cidx.kind
-	if fast {
-		// Seeded from the view just refreshed; a peer's later moves leave
-		// the worker's caches slightly stale until the next sync point,
-		// consistent with the GraSP relaxation.
-		if kind == costBlocked {
-			sc.resetBlockState(len(s.cidx.blocks))
-		} else {
-			sc.minIdx.reset(s.expected, w.loadOf)
-		}
-	}
-	scanOff := false
-	scanTried, scanWork := 0, 0
-	nb := len(s.cidx.blocks)
+	w.beginStream(alpha, expected)
 	mark := s.cfg.FrontierRestreaming
 	next := int32(pass) + 1
-	expected := s.expected
 	blockAligned := s.blockAligned && multi
 	var owner []int32
 	var blockOf []int32
@@ -701,7 +549,8 @@ func (w *parallelWorker) streamPass(pass int, alpha float64, frontierOnly bool) 
 		owner, blockOf, snap = s.blockOwner, s.cidx.blockOf, s.snapshot
 	}
 	syncCountdown := loadSyncEvery
-	var nExh, nUni, nBlk, nBnd, nFallback, visited, moves int64
+	moves := 0
+	var visited int64
 
 	v0, stride := 0, 1
 	if !blockAligned && multi {
@@ -725,73 +574,24 @@ func (w *parallelWorker) streamPass(pass int, alpha float64, frontierOnly bool) 
 				syncCountdown = loadSyncEvery
 				w.flushDeltas()
 				w.refreshView()
-				if fast && !scanOff {
-					// The refreshed view invalidates every cached minimum
-					// keyed on the old one.
-					if kind == costBlocked {
-						for b := range sc.blockStale {
-							sc.blockStale[b] = true
-						}
-					} else {
-						sc.minIdx.reset(expected, w.loadOf)
-					}
-				}
+				// The refreshed view invalidates every cached minimum
+				// keyed on the old one.
+				w.reseed(expected)
 			}
 		}
 		w.gather(v)
 		cur := s.parts[v].Load()
 
-		var bestPart int32
-		switch {
-		case !fast || scanOff:
-			bestPart = w.pickExhaustive(cur, alpha, expected)
-			nExh++
-			if scanOff {
-				nFallback++
-			}
-		case kind == costUniform:
-			bestPart = w.pickUniform(cur, alpha, expected)
-			nUni++
-		case kind == costBlocked:
-			var work int
-			bestPart, work = w.pickBlocked(cur, alpha, expected)
-			nBlk++
-			scanTried++
-			scanWork += work
-			if scanTried >= 128 && scanWork > scanTried*(nb+s.p/2) {
-				scanOff = true
-			}
-		default:
-			var pops int
-			bestPart, pops = w.pickBounded(cur, alpha, expected)
-			nBnd++
-			scanTried++
-			scanWork += pops
-			if scanTried >= 128 && scanWork > 3*scanTried {
-				scanOff = true
-			}
-		}
-
-		if bestPart != cur {
+		if best := w.pick(cur, 0, alpha, expected); best != cur {
 			moves++
 			wt := h.VertexWeight(v)
-			w.view[cur] -= wt
-			w.view[bestPart] += wt
 			w.delta[cur] -= wt
-			w.delta[bestPart] += wt
-			s.parts[v].Store(bestPart)
+			w.delta[best] += wt
+			s.parts[v].Store(best)
 			if !multi {
-				sc.movePairs(cur, bestPart)
+				sc.movePairs(cur, best)
 			}
-			if fast && !scanOff {
-				if kind == costBlocked {
-					sc.blockNoteMove(s.cidx, cur, bestPart,
-						float64(w.view[cur])/expected[cur])
-				} else {
-					sc.minIdx.update(cur, w.view[cur])
-					sc.minIdx.update(bestPart, w.view[bestPart])
-				}
-			}
+			w.noteMove(cur, best, wt, expected)
 			if mark {
 				w.markDirty(v, next)
 			}
@@ -799,22 +599,8 @@ func (w *parallelWorker) streamPass(pass int, alpha float64, frontierOnly bool) 
 	}
 	w.flushDeltas()
 	w.passMoves = moves
-
-	t := &w.tally
-	if frontierOnly {
-		t.FrontierVisited += visited
-	}
-	t.Moves += moves
-	t.ScanExhaustive += nExh
-	t.ScanUniform += nUni
-	t.ScanBlocked += nBlk
-	t.ScanBounded += nBnd
-	t.ExhaustiveFallbacks += nFallback
-	if kind == costBlocked {
-		t.BlockedWork += int64(scanWork)
-	} else {
-		t.BoundedPops += int64(scanWork)
-	}
+	w.tally.Moves += int64(moves)
+	w.tally.FrontierVisited += visited
 }
 
 // gather fills the worker scratch with X_j(v) against the live shared
@@ -870,320 +656,4 @@ func (w *parallelWorker) markDirty(v int, next int32) {
 			}
 		}
 	}
-}
-
-// pickExhaustive is the O(p) reference scan against the worker's load view.
-func (w *parallelWorker) pickExhaustive(cur int32, alpha float64, expected []float64) int32 {
-	s, sc := w.s, w.sc
-	cost := s.cfg.CostMatrix
-	p := s.p
-	nbrParts := float64(len(sc.touched))
-	bestPart := int32(0)
-	bestVal := math.Inf(-1)
-	for i := 0; i < p; i++ {
-		t := 0.0
-		ci := cost[i]
-		for _, j := range sc.touched {
-			t += sc.xCounts[j] * ci[j]
-		}
-		ni := nbrParts
-		if sc.pstamp[i] == sc.epoch {
-			ni--
-		}
-		ni /= float64(p)
-		val := -ni*t - alpha*float64(w.view[i])/expected[i]
-		if val > bestVal || (val == bestVal && int32(i) == cur) {
-			bestVal = val
-			bestPart = int32(i)
-		}
-	}
-	return bestPart
-}
-
-// pickUniform is the touched-only scan for uniform off-diagonal cost
-// matrices (see Partitioner.pickUniform for the full argument; this twin
-// reads the worker's load view instead of the serial loads).
-func (w *parallelWorker) pickUniform(cur int32, alpha float64, expected []float64) int32 {
-	s, sc := w.s, w.sc
-	c := s.cidx.uniformC
-	p := float64(s.p)
-	nbrParts := float64(len(sc.touched))
-	tU := 0.0
-	for _, j := range sc.touched {
-		tU += sc.xCounts[j] * c
-	}
-	jstar, sumX := heaviestTouched(sc)
-	niU := nbrParts / p
-	niT := (nbrParts - 1) / p
-
-	bestPart := int32(-1)
-	bestVal := math.Inf(-1)
-	scoreTouched := func(i int32) {
-		t := 0.0
-		for _, j := range sc.touched {
-			if j != i {
-				t += sc.xCounts[j] * c
-			}
-		}
-		val := -niT*t - alpha*float64(w.view[i])/expected[i]
-		considerCandidate(&bestVal, &bestPart, i, cur, val)
-	}
-	if e, ok := sc.minIdx.popBestUntouched(w.untouched); ok {
-		val := -niU*tU - alpha*float64(w.view[e.idx])/expected[e.idx]
-		considerCandidate(&bestVal, &bestPart, e.idx, cur, val)
-	}
-	sc.minIdx.restore()
-	curTouched := sc.pstamp[cur] == sc.epoch
-	if !curTouched {
-		val := -niU*tU - alpha*float64(w.view[cur])/expected[cur]
-		considerCandidate(&bestVal, &bestPart, cur, cur, val)
-	}
-	if len(sc.touched) == 0 {
-		return bestPart
-	}
-	scoreTouched(jstar)
-	if curTouched && cur != jstar {
-		scoreTouched(cur)
-	}
-	for _, i := range sc.touched {
-		if i == jstar || i == cur {
-			continue
-		}
-		if touchedPrunable(niT, c*(sumX-sc.xCounts[i]), c*sumX,
-			alpha*float64(w.view[i])/expected[i], 0, bestVal) {
-			w.tally.TouchedPruned++
-			continue
-		}
-		scoreTouched(i)
-	}
-	return bestPart
-}
-
-// pickBounded is the pruned touched-only scan for general cost matrices
-// (see Partitioner.pickBounded).
-func (w *parallelWorker) pickBounded(cur int32, alpha float64, expected []float64) (best int32, pops int) {
-	s, sc := w.s, w.sc
-	cost := s.cfg.CostMatrix
-	p := float64(s.p)
-	nbrParts := float64(len(sc.touched))
-	sumX := 0.0
-	for _, j := range sc.touched {
-		sumX += sc.xCounts[j]
-	}
-	loS := s.cidx.minOff * sumX
-	niU := nbrParts / p
-
-	bestPart := int32(-1)
-	bestVal := math.Inf(-1)
-	score := func(i int32, isTouched bool) {
-		t := 0.0
-		ci := cost[i]
-		for _, j := range sc.touched {
-			t += sc.xCounts[j] * ci[j]
-		}
-		ni := nbrParts
-		if isTouched {
-			ni--
-		}
-		ni /= p
-		val := -ni*t - alpha*float64(w.view[i])/expected[i]
-		considerCandidate(&bestVal, &bestPart, i, cur, val)
-	}
-	for _, i := range sc.touched {
-		score(i, true)
-	}
-	if sc.pstamp[cur] != sc.epoch {
-		score(cur, false)
-	}
-	budget := boundedPopBudget(s.p)
-	for ; budget > 0; budget-- {
-		e, ok := sc.minIdx.popBestUntouched(w.untouched)
-		if !ok {
-			break
-		}
-		pops++
-		ub := -niU*loS - alpha*e.q
-		ub += boundMargin * (math.Abs(ub) + 1)
-		if ub < bestVal {
-			break
-		}
-		score(e.idx, false)
-	}
-	sc.minIdx.restore()
-	if budget == 0 {
-		w.tally.ExhaustiveFallbacks++
-		return w.pickExhaustive(cur, alpha, expected), pops
-	}
-	return bestPart, pops
-}
-
-// pickBlocked is the tiered block walk for hierarchical cost matrices
-// (see Partitioner.pickBlocked for the full argument; this twin reads the
-// worker's load view instead of the serial loads). The per-block argmin
-// caches are per worker and — under block-aligned ownership — cover mostly
-// the worker's own blocks' loads, so peer moves rarely invalidate them
-// between sync points; any residual staleness only mis-orders the
-// candidate search, consistent with the GraSP relaxation. With a single
-// worker the view is exact and the walk is move-for-move identical to the
-// exhaustive reference.
-func (w *parallelWorker) pickBlocked(cur int32, alpha float64, expected []float64) (best int32, work int) {
-	s, sc := w.s, w.sc
-	ci := s.cidx
-	cost := s.cfg.CostMatrix
-	p := float64(s.p)
-	nbrParts := float64(len(sc.touched))
-	epoch := sc.epoch
-	jstar, _ := heaviestTouched(sc)
-	niU := nbrParts / p
-	niT := (nbrParts - 1) / p
-
-	tLBAll := sc.tLBAll
-	for b := range tLBAll {
-		tLBAll[b] = 0
-	}
-	for _, j := range sc.touched {
-		x := sc.xCounts[j]
-		floors := ci.floorsTo[j]
-		for b := range tLBAll {
-			tLBAll[b] += x * floors[b]
-		}
-	}
-	work += len(sc.touched) * len(tLBAll) / 64
-
-	bestPart := int32(-1)
-	bestVal := math.Inf(-1)
-	score := func(i int32, isTouched bool, tExact float64, haveT bool) {
-		t := tExact
-		if !haveT {
-			t = 0.0
-			row := cost[i]
-			for _, j := range sc.touched {
-				t += sc.xCounts[j] * row[j]
-			}
-		}
-		ni := nbrParts
-		if isTouched {
-			ni--
-		}
-		ni /= p
-		val := -ni*t - alpha*float64(w.view[i])/expected[i]
-		sc.sstamp[i] = epoch
-		considerCandidate(&bestVal, &bestPart, i, cur, val)
-	}
-	if len(sc.touched) > 0 {
-		score(jstar, true, 0, false)
-	}
-	curTouched := sc.pstamp[cur] == epoch
-	if !curTouched || cur != jstar {
-		score(cur, curTouched, 0, false)
-	}
-
-	champ := int32(-1)
-	q0 := math.Inf(1)
-	for b := range sc.blockMinQ {
-		if sc.blockStale[b] {
-			w.refreshBlockMin(int32(b), expected)
-			work++
-		}
-		if sc.blockMinQ[b] < q0 {
-			q0, champ = sc.blockMinQ[b], int32(b)
-		}
-	}
-	if champ >= 0 {
-		// The champion's cached argmin is usually still available (only
-		// touched/current partitions are scored so far) — no scan needed.
-		if i := sc.blockMinIdx[champ]; sc.pstamp[i] != epoch && sc.sstamp[i] != epoch {
-			score(i, false, 0, false)
-		} else if i, _, ok := w.minAvailableInBlock(champ, expected); ok {
-			work++
-			score(i, false, 0, false)
-		}
-	}
-
-	for _, i := range sc.touched {
-		if i == jstar || i == cur {
-			continue
-		}
-		if b := ci.blockOf[i]; len(ci.blocks[b].members) > 1 &&
-			touchedPrunable(niT, tLBAll[b]-sc.xCounts[i]*ci.floorsTo[i][b], tLBAll[b],
-				alpha*float64(w.view[i])/expected[i], 0, bestVal) {
-			w.tally.TouchedPruned++
-			continue
-		}
-		score(i, true, 0, false)
-	}
-
-	for _, b := range ci.blockOrder[jstar] {
-		tLB := tLBAll[b]
-		ubBlock := -niU*tLB - alpha*sc.blockMinQ[b]
-		ubBlock += boundMargin * (math.Abs(ubBlock) + 1)
-		if ubBlock < bestVal {
-			w.tally.BlockRejections++
-			continue
-		}
-		exact := ci.blocks[b].exact
-		first := true
-		for {
-			var i int32
-			var q float64
-			var ok bool
-			// The cached argmin doubles as the block's first candidate
-			// when still available, skipping one member scan.
-			if i = sc.blockMinIdx[b]; first && sc.pstamp[i] != epoch && sc.sstamp[i] != epoch {
-				q, ok = sc.blockMinQ[b], true
-			} else {
-				i, q, ok = w.minAvailableInBlock(b, expected)
-				work++
-			}
-			first = false
-			if !ok {
-				break
-			}
-			ub := -niU*tLB - alpha*q
-			ub += boundMargin * (math.Abs(ub) + 1)
-			if ub < bestVal {
-				break
-			}
-			score(i, false, tLB, exact)
-			if exact {
-				w.tally.ExactSettles++
-				break
-			}
-		}
-	}
-	return bestPart, work
-}
-
-// refreshBlockMin recomputes block b's cached (min load, argmin) from the
-// worker's load view.
-func (w *parallelWorker) refreshBlockMin(b int32, expected []float64) {
-	s, sc := w.s, w.sc
-	bq, bi := math.Inf(1), int32(-1)
-	for _, i := range s.cidx.blocks[b].members {
-		if q := float64(w.view[i]) / expected[i]; q < bq {
-			bq, bi = q, i
-		}
-	}
-	sc.blockMinQ[b], sc.blockMinIdx[b] = bq, bi
-	sc.blockStale[b] = false
-}
-
-// minAvailableInBlock returns block b's least-loaded member (ties to the
-// lowest index) not yet touched or scored for the current vertex.
-func (w *parallelWorker) minAvailableInBlock(b int32, expected []float64) (idx int32, q float64, ok bool) {
-	s, sc := w.s, w.sc
-	epoch := sc.epoch
-	bq, bi := math.Inf(1), int32(-1)
-	for _, i := range s.cidx.blocks[b].members {
-		if sc.pstamp[i] == epoch || sc.sstamp[i] == epoch {
-			continue
-		}
-		if qi := float64(w.view[i]) / expected[i]; qi < bq {
-			bq, bi = qi, i
-		}
-	}
-	if bi < 0 {
-		return 0, 0, false
-	}
-	return bi, bq, true
 }

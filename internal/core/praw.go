@@ -142,32 +142,11 @@ type Config struct {
 	forceTouchedOnly bool
 }
 
-// fastScanMinPartitions is the default partition count below which the
-// touched-only scan is skipped: for small p the exhaustive scan's
-// p·|touched| fused multiply-adds cost less than any per-vertex index
-// traffic. For the uniform path the hardcoded value is only the fallback —
-// the first gray-zone run measures the actual break-even on this machine
-// (see calibrate.go). The blocked (cost-tier) scan pays O(B) per vertex
-// for the block walk, so it amortises at the same small p as the uniform
-// scan; the scalar-bound pruned scan for unstructured matrices
-// (pickBounded) pays several heap pops per vertex and needs a larger p.
-const (
-	fastScanMinPartitions    = 32
-	blockedScanMinPartitions = 32
-	boundedScanMinPartitions = 128
-)
-
 // frontierFullSweepEvery is the cadence of corrective full sweeps in
 // frontier mode: after this many consecutive frontier passes, one pass
 // streams every vertex again so drift in α and the loads reaches vertices
 // the frontier never revisited.
 const frontierFullSweepEvery = 8
-
-// boundMargin is the relative slack added to the untouched-candidate upper
-// bound of the pruned scan (pickBounded), so floating-point rounding can
-// only make the scan examine more candidates than strictly necessary, never
-// fewer.
-const boundMargin = 1e-9
 
 // RefinementPolicy is the stopping behaviour once the partition is within
 // the imbalance tolerance.
@@ -264,88 +243,81 @@ func (r StopReason) String() string {
 // Create with New, run with Run, and call Release when done to return the
 // pooled buffers. A Partitioner is not safe for concurrent use.
 type Partitioner struct {
-	h   *hypergraph.Hypergraph
+	kernel
 	cfg Config
-	p   int
 
 	parts  []int32 // aliases sc.parts
-	loads  []int64 // aliases sc.loads
 	totalW int64
 
-	// sc holds every reusable buffer (gather stamps, min-load index,
-	// frontier stamps, assignment vectors), recycled across Partitioners via
-	// a sync.Pool so steady-state serving is allocation-free in the kernel.
-	sc *scratch
-
-	// cidx is the cost-tier index: the matrix's structure classification
-	// plus the block floors and walk orders the blocked scan consumes.
-	// Taken from Config.Index when it matches the matrix, built otherwise.
-	cidx *CostIndex
-
-	// fastEligible caches whether the touched-only scan pays off for this
-	// (cost structure, p) pair; see fastScanEligible.
-	fastEligible bool
-
-	// tally accumulates kernel activity counters across streams; Run
-	// flushes it into Config.Stats. Always maintained (the increments are
-	// noise next to the scoring arithmetic) so benchmarks measure the same
-	// code path the serving layer runs.
-	tally StreamStats
-
-	// Hoisted closures for the min-load index (allocated once, not per
-	// vertex).
-	loadOfFn    func(int32) int64
-	untouchedFn func(int32) bool
+	// rng drives the shuffled stream order (ShuffledOrder only).
+	rng splitMix
 }
 
 // New validates the configuration and prepares a Partitioner.
 func New(h *hypergraph.Hypergraph, cfg Config) (*Partitioner, error) {
+	cfg, cidx, err := prepare(h, cfg)
+	if err != nil {
+		return nil, err
+	}
+	nv, p := h.NumVertices(), len(cfg.CostMatrix)
+	sc := acquireScratch(nv, p)
+	sc.parts = growI32(sc.parts, nv)
+	sc.pairs.size(p)
+	pr := &Partitioner{cfg: cfg, parts: sc.parts}
+	pr.setup(h, &pr.cfg, cidx, sc)
+	return pr, nil
+}
+
+// prepare validates cfg against h, defaults α, and resolves the cost-tier
+// index: taken from Config.Index when it matches the matrix, built
+// otherwise. New and PartitionParallel share it.
+func prepare(h *hypergraph.Hypergraph, cfg Config) (Config, *CostIndex, error) {
 	p := len(cfg.CostMatrix)
 	if p == 0 {
-		return nil, fmt.Errorf("core: empty cost matrix")
+		return cfg, nil, fmt.Errorf("core: empty cost matrix")
 	}
 	for i, row := range cfg.CostMatrix {
 		if len(row) != p {
-			return nil, fmt.Errorf("core: cost matrix row %d has %d entries, want %d", i, len(row), p)
+			return cfg, nil, fmt.Errorf("core: cost matrix row %d has %d entries, want %d", i, len(row), p)
 		}
 		if row[i] != 0 {
-			return nil, fmt.Errorf("core: cost matrix diagonal must be zero (row %d is %g)", i, row[i])
+			return cfg, nil, fmt.Errorf("core: cost matrix diagonal must be zero (row %d is %g)", i, row[i])
 		}
 	}
 	if cfg.ImbalanceTolerance <= 1 {
-		return nil, fmt.Errorf("core: imbalance tolerance must exceed 1, got %g", cfg.ImbalanceTolerance)
+		return cfg, nil, fmt.Errorf("core: imbalance tolerance must exceed 1, got %g", cfg.ImbalanceTolerance)
 	}
 	if cfg.MaxIterations <= 0 {
-		return nil, fmt.Errorf("core: max iterations must be positive, got %d", cfg.MaxIterations)
+		return cfg, nil, fmt.Errorf("core: max iterations must be positive, got %d", cfg.MaxIterations)
 	}
 	if cfg.TemperFactor <= 0 {
-		return nil, fmt.Errorf("core: temper factor must be positive, got %g", cfg.TemperFactor)
+		return cfg, nil, fmt.Errorf("core: temper factor must be positive, got %g", cfg.TemperFactor)
 	}
 	if cfg.RefinementPolicy == RefineUntilNoImprovement && cfg.RefinementFactor <= 0 {
-		return nil, fmt.Errorf("core: refinement factor must be positive, got %g", cfg.RefinementFactor)
+		return cfg, nil, fmt.Errorf("core: refinement factor must be positive, got %g", cfg.RefinementFactor)
 	}
 	if cfg.Capacities != nil {
 		if len(cfg.Capacities) != p {
-			return nil, fmt.Errorf("core: %d capacities for %d partitions", len(cfg.Capacities), p)
+			return cfg, nil, fmt.Errorf("core: %d capacities for %d partitions", len(cfg.Capacities), p)
 		}
 		for i, c := range cfg.Capacities {
 			if c <= 0 {
-				return nil, fmt.Errorf("core: capacity %d is non-positive (%g)", i, c)
+				return cfg, nil, fmt.Errorf("core: capacity %d is non-positive (%g)", i, c)
 			}
 		}
 	}
 	if cfg.InitialParts != nil {
 		if len(cfg.InitialParts) != h.NumVertices() {
-			return nil, fmt.Errorf("core: initial partition length %d, want %d", len(cfg.InitialParts), h.NumVertices())
+			return cfg, nil, fmt.Errorf("core: initial partition length %d, want %d", len(cfg.InitialParts), h.NumVertices())
 		}
 		for v, q := range cfg.InitialParts {
 			if q < 0 || int(q) >= p {
-				return nil, fmt.Errorf("core: initial partition assigns vertex %d to %d, want [0,%d)", v, q, p)
+				return cfg, nil, fmt.Errorf("core: initial partition assigns vertex %d to %d, want [0,%d)", v, q, p)
 			}
 		}
 	}
 	if cfg.MigrationPenalty < 0 {
-		return nil, fmt.Errorf("core: negative migration penalty %g", cfg.MigrationPenalty)
+		return cfg, nil, fmt.Errorf("core: negative migration penalty %g", cfg.MigrationPenalty)
 	}
 	if cfg.Alpha0 == 0 {
 		cfg.Alpha0 = FennelAlpha(p, h.NumEdges(), h.NumVertices())
@@ -354,44 +326,7 @@ func New(h *hypergraph.Hypergraph, cfg Config) (*Partitioner, error) {
 	if !cidx.matches(cfg.CostMatrix) {
 		cidx = BuildCostIndex(cfg.CostMatrix)
 	}
-	sc := acquireScratch(h.NumVertices(), p)
-	sc.parts = growI32(sc.parts, h.NumVertices())
-	sc.pairs.size(p)
-	pr := &Partitioner{
-		h:     h,
-		cfg:   cfg,
-		p:     p,
-		parts: sc.parts,
-		loads: sc.loads,
-		sc:    sc,
-		cidx:  cidx,
-	}
-	pr.loadOfFn = func(i int32) int64 { return pr.loads[i] }
-	pr.untouchedFn = func(i int32) bool { return pr.sc.pstamp[i] != pr.sc.epoch }
-	pr.fastEligible = fastScanEligible(cfg, cidx, p)
-	return pr, nil
-}
-
-// fastScanEligible decides whether the touched-only scan can beat the
-// exhaustive one for this (cost structure, p) pair.
-func fastScanEligible(cfg Config, cidx *CostIndex, p int) bool {
-	if cfg.forceExhaustive || p <= 1 {
-		return false
-	}
-	if cfg.forceTouchedOnly {
-		return true
-	}
-	switch cidx.kind {
-	case costUniform:
-		// Above the probe grid's ceiling the answer cannot depend on the
-		// measurement — skip the one-time calibration probe entirely so
-		// large-p first requests never pay its latency.
-		return p >= calFallbackCutoff || p >= uniformFastCutoff()
-	case costBlocked:
-		return p >= blockedScanMinPartitions
-	default:
-		return p >= boundedScanMinPartitions
-	}
+	return cfg, cidx, nil
 }
 
 // Release returns the Partitioner's pooled buffers; the Partitioner (and any
@@ -445,35 +380,13 @@ func FennelAlpha(p, numEdges, numVertices int) float64 {
 func (pr *Partitioner) Run() Result {
 	nv := pr.h.NumVertices()
 	pr.resetAssignment()
-	expected := pr.expectedLoads()
-
-	alpha := pr.cfg.Alpha0
-	patience := pr.cfg.Patience
-	if patience <= 0 {
-		patience = 1
-	}
-	res := Result{Stopped: StoppedMaxIterations}
-	// bestParts is the lowest-cost in-tolerance partition seen so far; it is
-	// what a stop in the refinement phase returns (the paper's "return
-	// P^{n-1}" generalised to patience > 1). Only the refinement policy
-	// needs it, so it is sized here, not in acquireScratch.
-	if pr.cfg.RefinementPolicy == RefineUntilNoImprovement {
-		pr.sc.bestParts = growI32(pr.sc.bestParts, nv)
-	}
-	bestParts := pr.sc.bestParts
-	bestCost := math.Inf(1)
-	haveBest := false
-	badStreak := 0
-
-	var order []int32
-	var orderRNG *splitMix
+	pr.expectedLoads() // fills sc.expected, which every superstep reads
 	if pr.cfg.ShuffledOrder {
 		pr.sc.order = growI32(pr.sc.order, nv)
-		order = pr.sc.order
-		for i := range order {
-			order[i] = int32(i)
+		for i := range pr.sc.order {
+			pr.sc.order[i] = int32(i)
 		}
-		orderRNG = &splitMix{state: pr.cfg.Seed ^ 0x5eed}
+		pr.rng = splitMix{state: pr.cfg.Seed ^ 0x5eed}
 	}
 	if pr.cfg.FrontierRestreaming {
 		// Fresh stamps per run keep frontier runs deterministic no matter
@@ -483,31 +396,87 @@ func (pr *Partitioner) Run() Result {
 			pr.sc.dirty[i] = 0
 		}
 	}
+	return restream(pr.h, &pr.cfg, pr)
+}
+
+// superstep is one serial pass of the driver loop: shuffle the visiting
+// order when asked, stream, then measure the imbalance and PC(P).
+func (pr *Partitioner) superstep(n int, alpha float64, frontier bool) (moves int, imb, cost float64) {
+	var order []int32
+	if pr.cfg.ShuffledOrder {
+		order = pr.sc.order
+		pr.rng.shuffle(order)
+	}
+	expected := pr.sc.expected
+	moves = pr.stream(alpha, expected, order, n, frontier)
+	return moves, imbalanceFor(pr.cfg.Capacities, pr.loads, expected), pr.commCost()
+}
+
+// assignment is the live assignment the stream updates in place.
+func (pr *Partitioner) assignment() []int32 { return pr.parts }
+
+// restreamer is one driver's side of Algorithm 1's outer loop (restream):
+// the serial Partitioner, whose superstep shuffles and streams, or a
+// parallelRun, whose superstep dispatches the stream and the barrier
+// reductions to its workers.
+type restreamer interface {
+	// superstep streams pass n and returns its move count together with
+	// the end-of-pass imbalance and PC(P).
+	superstep(n int, alpha float64, frontier bool) (moves int, imb, cost float64)
+	// assignment is the current assignment and commCost its PC(P).
+	assignment() []int32
+	commCost() float64
+	// bestBuffer returns a vertex-sized buffer for the best partition.
+	bestBuffer() []int32
+	// takeTally returns the kernel counters and clears them.
+	takeTally() StreamStats
+}
+
+// restream runs Algorithm 1's outer loop over r: α tempering while the
+// imbalance exceeds the tolerance, then the refinement phase, which tracks
+// the best in-tolerance partition and stops once PC(P) has failed to
+// improve for Patience consecutive streams. It polls Config.Stop, records
+// History, calls Progress, and flushes the kernel counters into
+// Config.Stats.
+func restream(h *hypergraph.Hypergraph, cfg *Config, r restreamer) Result {
+	alpha := cfg.Alpha0
+	patience := cfg.Patience
+	if patience <= 0 {
+		patience = 1
+	}
+	res := Result{Stopped: StoppedMaxIterations}
+	// bestParts is the lowest-cost in-tolerance partition seen so far; it is
+	// what a stop in the refinement phase returns (the paper's "return
+	// P^{n-1}" generalised to patience > 1). Only the refinement policy
+	// needs it.
+	var bestParts []int32
+	if cfg.RefinementPolicy == RefineUntilNoImprovement {
+		bestParts = r.bestBuffer()
+	}
+	bestCost := math.Inf(1)
+	haveBest := false
+	badStreak := 0
 
 	lastInTol := false
 	consecFrontier := 0
-	for n := 1; n <= pr.cfg.MaxIterations; n++ {
-		if pr.cfg.Stop != nil && pr.cfg.Stop() {
+	var frontierPasses int64
+	for n := 1; n <= cfg.MaxIterations; n++ {
+		if cfg.Stop != nil && cfg.Stop() {
 			res.Stopped = StoppedCanceled
 			break
 		}
-		if pr.cfg.ShuffledOrder {
-			orderRNG.shuffle(order)
-		}
-		frontier := pr.cfg.FrontierRestreaming && n > 1 && lastInTol &&
+		frontier := cfg.FrontierRestreaming && n > 1 && lastInTol &&
 			consecFrontier+1 < frontierFullSweepEvery
 		if frontier {
 			consecFrontier++
+			frontierPasses++
 		} else {
 			consecFrontier = 0
 		}
-		moves := pr.stream(alpha, expected, order, n, frontier)
+		moves, imb, cost := r.superstep(n, alpha, frontier)
 		res.Iterations = n
-
-		imb := pr.imbalance(expected)
-		inTol := imb <= pr.cfg.ImbalanceTolerance
+		inTol := imb <= cfg.ImbalanceTolerance
 		lastInTol = inTol
-		cost := pr.monitoredCost()
 
 		st := IterationStats{
 			Iteration:   n,
@@ -517,20 +486,20 @@ func (pr *Partitioner) Run() Result {
 			Moves:       moves,
 			InTolerance: inTol,
 		}
-		if pr.cfg.RecordHistory {
+		if cfg.RecordHistory {
 			res.History = append(res.History, st)
 		}
-		if pr.cfg.Progress != nil {
-			pr.cfg.Progress(st)
+		if cfg.Progress != nil {
+			cfg.Progress(st)
 		}
 
 		if !inTol {
 			// Outside tolerance: keep tempering up.
-			alpha *= pr.cfg.TemperFactor
+			alpha *= cfg.TemperFactor
 			continue
 		}
 
-		if pr.cfg.RefinementPolicy == StopAtTolerance {
+		if cfg.RefinementPolicy == StopAtTolerance {
 			res.Stopped = StoppedAtTolerance
 			break
 		}
@@ -540,7 +509,7 @@ func (pr *Partitioner) Run() Result {
 		// consecutive streams.
 		if !haveBest || cost < bestCost {
 			bestCost = cost
-			copy(bestParts, pr.parts)
+			copy(bestParts, r.assignment())
 			haveBest = true
 			badStreak = 0
 		} else {
@@ -550,24 +519,26 @@ func (pr *Partitioner) Run() Result {
 				break
 			}
 		}
-		alpha *= pr.cfg.RefinementFactor
-	}
-	if haveBest {
-		copy(pr.parts, bestParts)
+		alpha *= cfg.RefinementFactor
 	}
 
-	res.Parts = append([]int32(nil), pr.parts...)
-	// PC(P) depends only on the partition, so the restored best partition's
-	// cost is the value recorded when it was saved.
+	// PC(P) depends only on the partition, so the best partition's cost is
+	// the value recorded when it was saved; a run stopped before its first
+	// pass reports the initial assignment's.
+	final := r.assignment()
 	if haveBest {
+		final = bestParts
 		res.FinalCommCost = bestCost
 	} else {
-		res.FinalCommCost = pr.monitoredCost()
+		res.FinalCommCost = r.commCost()
 	}
-	res.FinalImbalance = metrics.Imbalance(metrics.Loads(pr.h, res.Parts, pr.p))
-	if pr.cfg.Stats != nil {
-		pr.cfg.Stats.Add(pr.tally)
-		pr.tally = StreamStats{}
+	res.Parts = append([]int32(nil), final...)
+	res.FinalImbalance = metrics.Imbalance(metrics.Loads(h, res.Parts, len(cfg.CostMatrix)))
+	if cfg.Stats != nil {
+		t := r.takeTally()
+		t.Passes += int64(res.Iterations)
+		t.FrontierPasses += frontierPasses
+		cfg.Stats.Add(t)
 	}
 	return res
 }
@@ -599,12 +570,16 @@ func (pr *Partitioner) resetAssignment() {
 	pr.sc.countPairs(h, pr.parts, pr.cfg.UseEdgeWeights, &pr.sc.pairs, 0, p)
 }
 
-// expectedLoads returns E(i) per partition: totalW/p for homogeneous
-// machines, or proportional to the configured capacities.
+// expectedLoads fills and returns the scratch's E(i) vector.
 func (pr *Partitioner) expectedLoads() []float64 {
-	expected := pr.sc.expected
-	if pr.cfg.Capacities == nil {
-		e := float64(pr.totalW) / float64(pr.p)
+	return expectedLoadsFor(pr.sc.expected, pr.cfg.Capacities, pr.totalW)
+}
+
+// expectedLoadsFor fills expected with E(i) per partition: totalW/p for
+// homogeneous machines, or proportional to the capacities caps.
+func expectedLoadsFor(expected, caps []float64, totalW int64) []float64 {
+	if caps == nil {
+		e := float64(totalW) / float64(len(expected))
 		if e == 0 {
 			e = 1
 		}
@@ -614,11 +589,11 @@ func (pr *Partitioner) expectedLoads() []float64 {
 		return expected
 	}
 	var capTotal float64
-	for _, c := range pr.cfg.Capacities {
+	for _, c := range caps {
 		capTotal += c
 	}
-	for i, c := range pr.cfg.Capacities {
-		e := float64(pr.totalW) * c / capTotal
+	for i, c := range caps {
+		e := float64(totalW) * c / capTotal
 		if e <= 0 {
 			e = 1
 		}
@@ -627,14 +602,15 @@ func (pr *Partitioner) expectedLoads() []float64 {
 	return expected
 }
 
-// imbalance returns the workload imbalance: the paper's max/mean ratio for
-// homogeneous partitions, or max_i W(i)/E(i) under heterogeneous capacities.
-func (pr *Partitioner) imbalance(expected []float64) float64 {
-	if pr.cfg.Capacities == nil {
-		return metrics.Imbalance(pr.loads)
+// imbalanceFor returns the workload imbalance of loads: the paper's
+// max/mean ratio for homogeneous partitions, or max_i W(i)/E(i) under
+// heterogeneous capacities caps.
+func imbalanceFor(caps []float64, loads []int64, expected []float64) float64 {
+	if caps == nil {
+		return metrics.Imbalance(loads)
 	}
 	worst := 0.0
-	for i, l := range pr.loads {
+	for i, l := range loads {
 		if r := float64(l) / expected[i]; r > worst {
 			worst = r
 		}
@@ -642,12 +618,12 @@ func (pr *Partitioner) imbalance(expected []float64) float64 {
 	return worst
 }
 
-// monitoredCost is the refinement-phase quality metric: PC(P) with the
+// commCost is the refinement-phase quality metric: PC(P) with the
 // algorithm's own cost matrix, hyperedge-weighted when UseEdgeWeights,
 // evaluated from the pair counts the stream keeps current (see
 // pairCounts.cost).
-func (pr *Partitioner) monitoredCost() float64 {
-	return pr.sc.pairs.cost(pr.cfg.CostMatrix)
+func (pr *Partitioner) commCost() float64 {
+	return pr.sc.pairs.cost(pr.cost)
 }
 
 // splitMix is a tiny local PRNG for the optional shuffled stream order
@@ -669,48 +645,23 @@ func (s *splitMix) shuffle(xs []int32) {
 	}
 }
 
-// stream performs one pass, reassigning each visited vertex greedily, and
-// returns the number of vertices that moved. order, when non-nil, gives the
-// visiting sequence; nil means natural order. pass is the 1-based iteration
-// number; when frontierOnly is set, only vertices whose dirty stamp matches
-// this pass (they or a neighbour moved last pass) are visited.
-//
-// Candidate scoring dispatches on the cost-tier index's classification of
-// the matrix: uniform → pickUniform (single heap pop), blocked
-// (hierarchical) → pickBlocked (tiered block walk), unstructured →
-// pickBounded (scalar-bound pruned scan). Every fast scan is move-for-move
-// identical to the exhaustive O(p) reference (pickExhaustive) but costs
-// far less per vertex. They need α > 0 — the untouched-candidate ordering
-// assumes load is a penalty — which only a caller-supplied Alpha0 ≤ 0 can
-// violate; that falls back to the exhaustive scan.
+// stream performs one pass, reassigning each visited vertex greedily with
+// the kernel's pick, and returns the number of vertices that moved. order,
+// when non-nil, gives the visiting sequence; nil means natural order. pass
+// is the 1-based iteration number; when frontierOnly is set, only vertices
+// whose dirty stamp matches this pass (they or a neighbour moved last pass)
+// are visited.
 func (pr *Partitioner) stream(alpha float64, expected []float64, order []int32, pass int, frontierOnly bool) int {
 	h := pr.h
 	sc := pr.sc
 	nv := h.NumVertices()
 	moves := 0
+	var visited int64
 
-	fast := pr.fastEligible && alpha > 0
-	kind := pr.cidx.kind
-	if fast {
-		// The uniform and bounded strategies keep the global min-load
-		// heap; the blocked scan keeps flat per-block argmin caches.
-		if kind == costBlocked {
-			sc.resetBlockState(len(pr.cidx.blocks))
-		} else {
-			sc.minIdx.reset(expected, pr.loadOfFn)
-		}
-	}
-	// Per-stream pruning verdicts for the structured scans (see
-	// pickBounded and pickBlocked).
-	scanOff := false
-	scanTried, scanWork := 0, 0
-	nb := len(pr.cidx.blocks)
+	pr.beginStream(alpha, expected)
 	mark := pr.cfg.FrontierRestreaming
 	next := int32(pass) + 1
-	// Stream-local activity counters, flushed into the tally once at the
-	// end so the hot loop touches registers, not struct fields.
-	var nExh, nUni, nBlk, nBnd, nFallback, visited int64
-
+	migration := pr.cfg.MigrationPenalty
 	for idx := 0; idx < nv; idx++ {
 		v := idx
 		if order != nil {
@@ -727,564 +678,24 @@ func (pr *Partitioner) stream(alpha float64, expected []float64, order []int32, 
 		}
 		pr.gatherNeighbourCounts(v)
 
-		var bestPart int32
-		switch {
-		case !fast || scanOff:
-			bestPart = pr.pickExhaustive(v, alpha, expected)
-			nExh++
-			if scanOff {
-				nFallback++
-			}
-		case kind == costUniform:
-			bestPart = pr.pickUniform(v, alpha, expected)
-			nUni++
-		case kind == costBlocked:
-			var work int
-			bestPart, work = pr.pickBlocked(v, alpha, expected)
-			nBlk++
-			scanTried++
-			scanWork += work
-			// The block walk wins while pruning keeps the scored set small;
-			// if the observed work approaches the exhaustive scan's p, stop
-			// paying the heap traffic for the rest of this stream. The next
-			// stream re-evaluates.
-			if scanTried >= 128 && scanWork > scanTried*(nb+pr.p/2) {
-				scanOff = true
-			}
-		default:
-			var pops int
-			bestPart, pops = pr.pickBounded(v, alpha, expected)
-			nBnd++
-			scanTried++
-			scanWork += pops
-			// The pruned scan only beats the exhaustive one when the load
-			// bound closes almost immediately; once the observed pop work
-			// says otherwise (α decayed, loads equalised), stop paying the
-			// heap traffic for the rest of this stream.
-			if scanTried >= 128 && scanWork > 3*scanTried {
-				scanOff = true
-			}
+		cur := pr.parts[v]
+		penalty := 0.0
+		if migration > 0 {
+			penalty = migration * float64(h.VertexWeight(v))
 		}
-
-		if old := pr.parts[v]; bestPart != old {
-			w := h.VertexWeight(v)
-			pr.loads[old] -= w
-			pr.loads[bestPart] += w
-			pr.parts[v] = bestPart
-			sc.movePairs(old, bestPart)
-			if fast && !scanOff {
-				if kind == costBlocked {
-					sc.blockNoteMove(pr.cidx, old, bestPart,
-						float64(pr.loads[old])/expected[old])
-				} else {
-					sc.minIdx.update(old, pr.loads[old])
-					sc.minIdx.update(bestPart, pr.loads[bestPart])
-				}
-			}
+		if best := pr.pick(cur, penalty, alpha, expected); best != cur {
+			pr.parts[v] = best
+			sc.movePairs(cur, best)
+			pr.noteMove(cur, best, h.VertexWeight(v), expected)
 			if mark {
 				pr.markDirty(v, next)
 			}
 			moves++
 		}
 	}
-
-	t := &pr.tally
-	t.Passes++
-	if frontierOnly {
-		t.FrontierPasses++
-		t.FrontierVisited += visited
-	}
-	t.Moves += int64(moves)
-	t.ScanExhaustive += nExh
-	t.ScanUniform += nUni
-	t.ScanBlocked += nBlk
-	t.ScanBounded += nBnd
-	t.ExhaustiveFallbacks += nFallback
-	if kind == costBlocked {
-		t.BlockedWork += int64(scanWork)
-	} else {
-		t.BoundedPops += int64(scanWork)
-	}
+	pr.tally.Moves += int64(moves)
+	pr.tally.FrontierVisited += visited
 	return moves
-}
-
-// pickExhaustive scores every partition for v: the original O(p) kernel and
-// the reference that the touched-only scan must match move for move.
-func (pr *Partitioner) pickExhaustive(v int, alpha float64, expected []float64) int32 {
-	h, p := pr.h, pr.p
-	sc := pr.sc
-	cost := pr.cfg.CostMatrix
-
-	// Number of partitions holding neighbours of v; A_i(v) per eq 3.
-	nbrParts := float64(len(sc.touched))
-
-	bestPart := int32(0)
-	bestVal := math.Inf(-1)
-	for i := 0; i < p; i++ {
-		// T_i(v) = Σ_j X_j(v)·C(i,j); C(i,i)=0 removes the self term.
-		t := 0.0
-		ci := cost[i]
-		for _, j := range sc.touched {
-			t += sc.xCounts[j] * ci[j]
-		}
-		// N_i(v): neighbour partitions other than i, normalised by p.
-		ni := nbrParts
-		if sc.pstamp[i] == sc.epoch {
-			ni-- // v has neighbours in i itself; those don't count
-		}
-		ni /= float64(p)
-
-		val := -ni*t - alpha*float64(pr.loads[i])/expected[i]
-		if pr.cfg.MigrationPenalty > 0 && int32(i) != pr.parts[v] {
-			val -= pr.cfg.MigrationPenalty * float64(h.VertexWeight(v))
-		}
-		if val > bestVal || (val == bestVal && int32(i) == pr.parts[v]) {
-			bestVal = val
-			bestPart = int32(i)
-		}
-	}
-	return bestPart
-}
-
-// considerCandidate folds candidate i with value val into the running
-// (bestVal, bestPart) selection, reproducing pickExhaustive's outcome from
-// an arbitrary evaluation order: the exhaustive ascending-index loop returns
-// the current partition if it ties the maximum, otherwise the lowest-index
-// maximizer.
-func considerCandidate(bestVal *float64, bestPart *int32, i, cur int32, val float64) {
-	if *bestPart < 0 || val > *bestVal ||
-		(val == *bestVal && (i == cur || (*bestPart != cur && i < *bestPart))) {
-		*bestVal = val
-		*bestPart = i
-	}
-}
-
-// touchedPrunable reports whether a touched candidate can be skipped
-// without paying its O(|touched|) exact communication sum: tBound
-// lower-bounds its T_i(v), so −ni·tBound − loadTerm − penalty bounds its
-// value from above, and the candidate is pruned when even that bound is
-// strictly below the incumbent bestVal. tBound is the difference of two
-// sums of magnitude up to tScale, and the subtraction cancels their
-// leading digits, so the boundMargin inflation is taken relative to
-// ni·tScale, not to the difference; rounding can then only make the scan
-// score more candidates than necessary, never prune a winner. One helper
-// serves the serial pickers and their parallel-worker twins.
-func touchedPrunable(ni, tBound, tScale, loadTerm, penalty, bestVal float64) bool {
-	ub := -ni*tBound - loadTerm - penalty
-	ub += boundMargin * (math.Abs(ub) + ni*tScale + 1)
-	return ub < bestVal
-}
-
-// heaviestTouched returns j*, the touched partition holding the most
-// neighbour mass (the first such in touched order), and Σ_j X_j(v). j* is
-// 0 for an isolated vertex, which has no touched partitions.
-func heaviestTouched(sc *scratch) (jstar int32, sumX float64) {
-	xStar := math.Inf(-1)
-	for _, j := range sc.touched {
-		x := sc.xCounts[j]
-		sumX += x
-		if x > xStar {
-			xStar, jstar = x, j
-		}
-	}
-	return jstar, sumX
-}
-
-// pickUniform is the touched-only scan for uniform off-diagonal cost
-// matrices (HyperPRAW-basic, and the uniform benchmarks). Every untouched
-// partition shares one communication term, so the best untouched candidate
-// is exactly the minimum of W(i)/E(i) — ties on the lowest index — which the
-// min-load index supplies without scanning all p. That fallback, the
-// vertex's current partition (which never pays the migration penalty) and
-// the heaviest touched partition j* are scored first; every other touched
-// partition i is then rejected in O(1) when its value bound from
-// T_i(v) = c·(ΣX − X_i) cannot beat them, and scored otherwise. Every
-// scored candidate uses pickExhaustive's floating-point arithmetic
-// operation for operation, and every rejected one is strictly worse than
-// the incumbent, so the pick is the exhaustive one.
-func (pr *Partitioner) pickUniform(v int, alpha float64, expected []float64) int32 {
-	sc := pr.sc
-	c := pr.cidx.uniformC
-	p := float64(pr.p)
-	nbrParts := float64(len(sc.touched))
-	cur := pr.parts[v]
-	penalty := 0.0
-	if pr.cfg.MigrationPenalty > 0 {
-		penalty = pr.cfg.MigrationPenalty * float64(pr.h.VertexWeight(v))
-	}
-	// T_i(v) of any untouched candidate, accumulated in touched order like
-	// the exhaustive loop (C(i,j) = c for every touched j, since i ≠ j).
-	tU := 0.0
-	for _, j := range sc.touched {
-		tU += sc.xCounts[j] * c
-	}
-	jstar, sumX := heaviestTouched(sc)
-	niU := nbrParts / p
-	niT := (nbrParts - 1) / p
-
-	bestPart := int32(-1)
-	bestVal := math.Inf(-1)
-	scoreTouched := func(i int32) {
-		// T_i for touched i drops the j == i term, which the exhaustive loop
-		// adds as xCounts[i]·C(i,i) = +0.0 — a bitwise no-op.
-		t := 0.0
-		for _, j := range sc.touched {
-			if j != i {
-				t += sc.xCounts[j] * c
-			}
-		}
-		val := -niT*t - alpha*float64(pr.loads[i])/expected[i]
-		if penalty > 0 && i != cur {
-			val -= penalty
-		}
-		considerCandidate(&bestVal, &bestPart, i, cur, val)
-	}
-	if e, ok := sc.minIdx.popBestUntouched(pr.untouchedFn); ok {
-		val := -niU*tU - alpha*float64(pr.loads[e.idx])/expected[e.idx]
-		if penalty > 0 && e.idx != cur {
-			val -= penalty
-		}
-		considerCandidate(&bestVal, &bestPart, e.idx, cur, val)
-	}
-	sc.minIdx.restore()
-	curTouched := sc.pstamp[cur] == sc.epoch
-	if !curTouched {
-		val := -niU*tU - alpha*float64(pr.loads[cur])/expected[cur]
-		considerCandidate(&bestVal, &bestPart, cur, cur, val)
-	}
-	if len(sc.touched) == 0 {
-		return bestPart
-	}
-	scoreTouched(jstar)
-	if curTouched && cur != jstar {
-		scoreTouched(cur)
-	}
-	for _, i := range sc.touched {
-		if i == jstar || i == cur {
-			continue
-		}
-		if touchedPrunable(niT, c*(sumX-sc.xCounts[i]), c*sumX,
-			alpha*float64(pr.loads[i])/expected[i], penalty, bestVal) {
-			pr.tally.TouchedPruned++
-			continue
-		}
-		scoreTouched(i)
-	}
-	return bestPart
-}
-
-// pickBounded is the touched-only scan for general cost matrices (the
-// profiled HyperPRAW-aware case). Touched partitions and the current one are
-// scored exactly; untouched candidates are drawn from the min-load index in
-// ascending W(i)/E(i) order and scored exactly until an upper bound on every
-// remaining candidate — communication no cheaper than the smallest off-
-// diagonal entry allows, load no lighter than the next candidate's — falls
-// below the best value seen. The bound discriminates whenever the α-weighted
-// load spread exceeds the communication-term spread (the tempering phase,
-// and refinement on unbalanced loads); when it cannot (α decayed and loads
-// equalised), the pop budget trips and the vertex falls back to the
-// exhaustive scan, bounding the overhead at a fraction of the O(p) cost
-// instead of letting the heap churn exceed it. pops reports the candidates
-// examined, so the stream can stop trying once pop work dominates.
-func (pr *Partitioner) pickBounded(v int, alpha float64, expected []float64) (best int32, pops int) {
-	sc := pr.sc
-	cost := pr.cfg.CostMatrix
-	p := float64(pr.p)
-	nbrParts := float64(len(sc.touched))
-	cur := pr.parts[v]
-	penalty := 0.0
-	if pr.cfg.MigrationPenalty > 0 {
-		penalty = pr.cfg.MigrationPenalty * float64(pr.h.VertexWeight(v))
-	}
-	// Σ_j X_j(v): any candidate's communication term is ≥ minOff times this.
-	sumX := 0.0
-	for _, j := range sc.touched {
-		sumX += sc.xCounts[j]
-	}
-	loS := pr.cidx.minOff * sumX
-	niU := nbrParts / p
-
-	bestPart := int32(-1)
-	bestVal := math.Inf(-1)
-	score := func(i int32, isTouched bool) {
-		t := 0.0
-		ci := cost[i]
-		for _, j := range sc.touched {
-			t += sc.xCounts[j] * ci[j]
-		}
-		ni := nbrParts
-		if isTouched {
-			ni--
-		}
-		ni /= p
-		val := -ni*t - alpha*float64(pr.loads[i])/expected[i]
-		if penalty > 0 && i != cur {
-			val -= penalty
-		}
-		considerCandidate(&bestVal, &bestPart, i, cur, val)
-	}
-	for _, i := range sc.touched {
-		score(i, true)
-	}
-	if sc.pstamp[cur] != sc.epoch {
-		score(cur, false)
-	}
-	budget := boundedPopBudget(pr.p)
-	for ; budget > 0; budget-- {
-		e, ok := sc.minIdx.popBestUntouched(pr.untouchedFn)
-		if !ok {
-			break
-		}
-		pops++
-		// Upper bound for e and everything after it (larger W/E); inflated
-		// so rounding can only widen the scan, never cut a winner.
-		ub := -niU*loS - alpha*e.q
-		ub += boundMargin * (math.Abs(ub) + 1)
-		if ub < bestVal {
-			break
-		}
-		score(e.idx, false)
-	}
-	sc.minIdx.restore()
-	if budget == 0 {
-		// The bound is not pruning on this vertex; the exhaustive reference
-		// costs less than draining the heap and returns the identical pick.
-		pr.tally.ExhaustiveFallbacks++
-		return pr.pickExhaustive(v, alpha, expected), pops
-	}
-	return bestPart, pops
-}
-
-// boundedPopBudget is how many untouched candidates pickBounded examines
-// before conceding that the load bound is not pruning and handing the vertex
-// to the exhaustive scan.
-func boundedPopBudget(p int) int {
-	b := p / 8
-	if b < 8 {
-		b = 8
-	}
-	return b
-}
-
-// pickBlocked is the tiered touched-only scan for hierarchical (blocked)
-// cost matrices, the profiled HyperPRAW-aware case the CostIndex was built
-// for. Every block's floor sum Σ_j X_j·floorsTo[j][b] is precomputed in
-// one contiguous pass first. The vertex's heaviest neighbour partition j*,
-// its current partition, and the globally least-loaded partition's best
-// available member (the load champion) are then scored exactly, and every
-// other touched partition i of block b is rejected in O(1) when its value
-// bound from T_i(v) ≥ floor sum of b − X_i·floorsTo[i][b] (the floor sum
-// with i's own term removed) cannot beat them. The remaining candidates
-// are walked block by block in ascending communication floor relative to
-// j*. A block is rejected in O(1) when even (floor comm, exact min member
-// load) cannot beat the incumbent — the floor sums are tight to
-// within-block noise, which is what the scalar min(C)·ΣX bound of
-// pickBounded cannot offer; a surviving block scores members in ascending
-// (W(i)/E(i), i) until the same bound closes. For an exact block the floor
-// sum IS every member's communication term, so the first member scored
-// (the block's lowest-(load, index) one, which dominates its siblings
-// under the exhaustive tie-break) settles the whole block in O(1) after
-// the shared floor pass.
-//
-// work approximates the scan's cost in units of one exhaustive candidate
-// evaluation, so the stream can fall back when the walk stops pruning.
-// Move-for-move parity with pickExhaustive holds by the same argument as
-// the other fast scans: every scored candidate uses the identical
-// floating-point evaluation, pruning is strict (a pruned candidate is
-// strictly worse than the incumbent, margin-inflated against rounding),
-// and considerCandidate reproduces the exhaustive tie-break from any
-// evaluation order. A pruned touched candidate is strictly worse than the
-// incumbent, so the walk starts from the same (bestVal, bestPart) as if
-// every touched partition had been scored.
-func (pr *Partitioner) pickBlocked(v int, alpha float64, expected []float64) (best int32, work int) {
-	sc := pr.sc
-	ci := pr.cidx
-	cost := pr.cfg.CostMatrix
-	p := float64(pr.p)
-	nbrParts := float64(len(sc.touched))
-	cur := pr.parts[v]
-	epoch := sc.epoch
-	penalty := 0.0
-	if pr.cfg.MigrationPenalty > 0 {
-		penalty = pr.cfg.MigrationPenalty * float64(pr.h.VertexWeight(v))
-	}
-	// j*: the anchor whose block order the walk follows (any anchor is
-	// correct; the heaviest makes the floor gaps steepest).
-	jstar, _ := heaviestTouched(sc)
-	niU := nbrParts / p
-	niT := (nbrParts - 1) / p
-
-	// All block floor sums in one contiguous pass, accumulated in touched
-	// order like every exact evaluation: tLBAll[b] lower-bounds any
-	// member's T_i, and IS the member's T_i when the block is exact.
-	tLBAll := sc.tLBAll
-	for b := range tLBAll {
-		tLBAll[b] = 0
-	}
-	for _, j := range sc.touched {
-		x := sc.xCounts[j]
-		floors := ci.floorsTo[j]
-		for b := range tLBAll {
-			tLBAll[b] += x * floors[b]
-		}
-	}
-	work += len(sc.touched) * len(tLBAll) / 64
-
-	bestPart := int32(-1)
-	bestVal := math.Inf(-1)
-	score := func(i int32, isTouched bool, tExact float64, haveT bool) {
-		t := tExact
-		if !haveT {
-			t = 0.0
-			row := cost[i]
-			for _, j := range sc.touched {
-				t += sc.xCounts[j] * row[j]
-			}
-		}
-		ni := nbrParts
-		if isTouched {
-			ni--
-		}
-		ni /= p
-		val := -ni*t - alpha*float64(pr.loads[i])/expected[i]
-		if penalty > 0 && i != cur {
-			val -= penalty
-		}
-		sc.sstamp[i] = epoch
-		considerCandidate(&bestVal, &bestPart, i, cur, val)
-	}
-	if len(sc.touched) > 0 {
-		score(jstar, true, 0, false)
-	}
-	curTouched := sc.pstamp[cur] == epoch
-	if !curTouched || cur != jstar {
-		score(cur, curTouched, 0, false)
-	}
-
-	// Refresh stale block minima and find the champion block — the one
-	// holding the globally least-loaded partition. Scoring its best
-	// available member early hands every later bound the strongest load
-	// incumbent the candidate set can produce.
-	champ := int32(-1)
-	q0 := math.Inf(1)
-	for b := range sc.blockMinQ {
-		if sc.blockStale[b] {
-			pr.refreshBlockMin(int32(b), expected)
-			work++
-		}
-		if sc.blockMinQ[b] < q0 {
-			q0, champ = sc.blockMinQ[b], int32(b)
-		}
-	}
-	if champ >= 0 {
-		// The champion's cached argmin is usually still available (only
-		// touched/current partitions are scored so far) — no scan needed.
-		if i := sc.blockMinIdx[champ]; sc.pstamp[i] != epoch && sc.sstamp[i] != epoch {
-			score(i, false, 0, false)
-		} else if i, _, ok := pr.minAvailableInBlock(champ, expected); ok {
-			work++
-			score(i, false, 0, false)
-		}
-	}
-
-	for _, i := range sc.touched {
-		if i == jstar || i == cur {
-			continue
-		}
-		if b := ci.blockOf[i]; len(ci.blocks[b].members) > 1 &&
-			touchedPrunable(niT, tLBAll[b]-sc.xCounts[i]*ci.floorsTo[i][b], tLBAll[b],
-				alpha*float64(pr.loads[i])/expected[i], penalty, bestVal) {
-			pr.tally.TouchedPruned++
-			continue
-		}
-		score(i, true, 0, false)
-	}
-
-	for _, b := range ci.blockOrder[jstar] {
-		tLB := tLBAll[b]
-		// O(1) block rejection: blockMinQ[b] is the exact minimum
-		// normalised load over the block's members (a lower bound for
-		// the unscored ones), so if even (floor comm, min load) cannot
-		// beat the incumbent, nothing in the block can. Inflated so
-		// rounding can only widen the scan.
-		ubBlock := -niU*tLB - alpha*sc.blockMinQ[b] - penalty
-		ubBlock += boundMargin * (math.Abs(ubBlock) + 1)
-		if ubBlock < bestVal {
-			pr.tally.BlockRejections++
-			continue
-		}
-		exact := ci.blocks[b].exact
-		first := true
-		for {
-			var i int32
-			var q float64
-			var ok bool
-			// The cached argmin doubles as the block's first candidate
-			// when still available, skipping one member scan.
-			if i = sc.blockMinIdx[b]; first && sc.pstamp[i] != epoch && sc.sstamp[i] != epoch {
-				q, ok = sc.blockMinQ[b], true
-			} else {
-				i, q, ok = pr.minAvailableInBlock(b, expected)
-				work++
-			}
-			first = false
-			if !ok {
-				break
-			}
-			// Upper bound for this member and everything after it in the
-			// block (heavier load, communication no cheaper than the
-			// floor).
-			ub := -niU*tLB - alpha*q - penalty
-			ub += boundMargin * (math.Abs(ub) + 1)
-			if ub < bestVal {
-				break
-			}
-			score(i, false, tLB, exact)
-			if exact {
-				// Exact block: every sibling shares this T_i, so the
-				// lowest-(load, index) member just scored dominates them
-				// under the exhaustive tie-break.
-				pr.tally.ExactSettles++
-				break
-			}
-		}
-	}
-	return bestPart, work
-}
-
-// refreshBlockMin recomputes block b's cached (min load, argmin) from the
-// live loads.
-func (pr *Partitioner) refreshBlockMin(b int32, expected []float64) {
-	sc := pr.sc
-	bq, bi := math.Inf(1), int32(-1)
-	for _, i := range pr.cidx.blocks[b].members {
-		if q := float64(pr.loads[i]) / expected[i]; q < bq {
-			bq, bi = q, i
-		}
-	}
-	sc.blockMinQ[b], sc.blockMinIdx[b] = bq, bi
-	sc.blockStale[b] = false
-}
-
-// minAvailableInBlock returns block b's least-loaded member (ties to the
-// lowest index) that is neither touched nor already scored for the
-// current vertex; ok is false when every member is spoken for.
-func (pr *Partitioner) minAvailableInBlock(b int32, expected []float64) (idx int32, q float64, ok bool) {
-	sc := pr.sc
-	epoch := sc.epoch
-	bq, bi := math.Inf(1), int32(-1)
-	for _, i := range pr.cidx.blocks[b].members {
-		if sc.pstamp[i] == epoch || sc.sstamp[i] == epoch {
-			continue
-		}
-		if qi := float64(pr.loads[i]) / expected[i]; qi < bq {
-			bq, bi = qi, i
-		}
-	}
-	if bi < 0 {
-		return 0, 0, false
-	}
-	return bi, bq, true
 }
 
 // markDirty stamps v and every neighbour of v as frontier members for pass

@@ -53,7 +53,8 @@ type scratch struct {
 
 	// Assignment/load state for a serial Partitioner. A parallel worker
 	// shares assignment state through parallelState instead and reuses
-	// loads as its private load view.
+	// loads as its private load view; a parallel run keeps its best
+	// partition in its first worker's bestParts.
 	parts     []int32
 	loads     []int64
 	bestParts []int32

@@ -72,10 +72,11 @@ func TestStatsSinkDoesNotPerturbKernel(t *testing.T) {
 
 // TestStatsSinkAccumulates pins the Add semantics: one sink shared across
 // two runs holds the sum, so the serving tier can aggregate per-job sinks
-// into process-lifetime counters.
+// into process-lifetime counters. The two-tier matrix at p=32 engages the
+// blocked scan, so the fast scans' counters are summed too.
 func TestStatsSinkAccumulates(t *testing.T) {
 	h := randomHG(5, 200, 300, 6)
-	cfg := DefaultConfig(physCost(8, 5))
+	cfg := DefaultConfig(hier2Cost(32))
 	cfg.MaxIterations = 10
 
 	var ks StreamStats
@@ -103,6 +104,7 @@ func TestStatsSinkAccumulates(t *testing.T) {
 		BlockedWork:         2 * single.BlockedWork,
 		BlockRejections:     2 * single.BlockRejections,
 		ExactSettles:        2 * single.ExactSettles,
+		TouchedPruned:       2 * single.TouchedPruned,
 	}) {
 		t.Fatalf("two runs accumulated %+v, one run records %+v", ks, single)
 	}

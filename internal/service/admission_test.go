@@ -252,10 +252,13 @@ func TestShutdownJournalsStillQueuedJobs(t *testing.T) {
 	if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Shutdown = %v, want deadline exceeded", err)
 	}
-	close(block) // release the worker so the goroutine can exit
+	// Close the store before releasing the worker: its late records then
+	// hit store.ErrClosed, which Service.journal ignores, so the journal
+	// holds the state at the drain deadline however fast the job finishes.
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	close(block) // release the worker so the goroutine can exit
 
 	st2, err := store.Open(dir)
 	if err != nil {
