@@ -22,13 +22,11 @@ func MapToTopology(h *Hypergraph, parts []int32, m *Machine, env Environment) ([
 // PartitionAwareParallel is PartitionAware using the parallel restreaming
 // variant (one concurrent stream per worker, GraSP-style: workers stream
 // against a slightly stale shared view, reconciled at superstep barriers).
-// workers <= 0 selects GOMAXPROCS. With one worker the result is
-// move-for-move identical to PartitionAware; with more the result is valid
-// but not run-to-run deterministic. At the core level the parallel kernel
-// honours Config.InitialParts (warm starts seed the shared assignment
-// exactly as in the serial path) but rejects Config.MigrationPenalty with
-// core.ErrParallelMigration rather than silently ignoring it — use
-// Repartition for migration-aware restreaming.
+// workers <= 0 selects GOMAXPROCS. PartitionAware runs the same superstep
+// driver with one worker, so with one worker the result is PartitionAware's
+// move for move; with more the result is valid but not run-to-run
+// deterministic. At the core level every worker count honours every
+// Config option, warm starts and migration penalties included.
 func PartitionAwareParallel(h *Hypergraph, env Environment, opts *Options, workers int) ([]int32, PartitionResult, error) {
 	o := opts.orDefault()
 	res, err := core.PartitionParallel(h, prawConfig(env.PhysCost, env.physIndex, o), workers)

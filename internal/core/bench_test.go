@@ -47,16 +47,16 @@ func benchStream(b *testing.B, name string, cost [][]float64, exhaustive bool) {
 		b.Fatal(err)
 	}
 	defer pr.Release()
-	pr.resetAssignment()
-	expected := pr.expectedLoads()
+	pr.reset()
+	w := pr.pool[0]
 	alpha := pr.cfg.Alpha0 // New defaults Alpha0 into its own config copy
 	for i := 0; i < 10; i++ {
-		pr.stream(alpha, expected, nil, i+1, false)
+		w.stream(i+1, alpha, false)
 		alpha *= cfg.TemperFactor
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pr.stream(alpha, expected, nil, 1, false)
+		w.stream(1, alpha, false)
 	}
 }
 
@@ -194,40 +194,36 @@ func BenchmarkRunWideMachine(b *testing.B) {
 	}
 }
 
-// benchParallelStream measures one warm parallel superstep — stream, barrier
-// reductions, ownership rebalance — on a persistent worker pool, the exact
-// unit the serial benchStream measures plus the convergence check the serial
-// kernel pays outside its stream. The w=1 sub-benchmark is the serial-
-// schedule baseline of the family's parallel_speedup curve in
-// BENCH_core.json (ns/op at w=1 ÷ ns/op at w=N).
+// benchParallelStream measures one warm superstep — stream, barrier
+// reductions, ownership rebalance — on a persistent worker pool: the unit
+// benchStream measures plus the barrier's snapshot and convergence check.
+// The w=1 sub-benchmark, the superstep of New and Run, is the baseline of
+// the family's parallel_speedup curve in BENCH_core.json (ns/op at w=1 ÷
+// ns/op at w=N).
 func benchParallelStream(b *testing.B, name string, cost [][]float64, workers int) {
 	spec, _ := hgen.SpecByName(name)
 	h := hgen.Generate(spec.Scaled(0.05), 1)
-	cfg := DefaultConfig(cost)
-	pr, err := New(h, cfg)
+	pr, err := newPartitioner(h, DefaultConfig(cost), workers)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg = pr.cfg
-	cidx := pr.cidx
-	pr.Release()
-	run := newParallelRun(h, cfg, cidx, workers)
-	defer run.close()
-	alpha := cfg.Alpha0
+	defer pr.Release()
+	pr.reset()
+	alpha := pr.cfg.Alpha0
 	for i := 0; i < 10; i++ {
-		run.superstep(i+1, alpha, false)
-		alpha *= cfg.TemperFactor
+		pr.superstep(i+1, alpha, false)
+		alpha *= pr.cfg.TemperFactor
 	}
 	// A few extra supersteps at the measured alpha push every lazily grown
 	// buffer (argmin heaps, scanner scratch, runtime channel-park caches) to
 	// its high-water mark before the timer starts, so short -benchtime runs
 	// report the steady-state 0 allocs/op instead of one-time growth.
 	for i := 0; i < 4; i++ {
-		run.superstep(1, alpha, false)
+		pr.superstep(1, alpha, false)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run.superstep(1, alpha, false)
+		pr.superstep(1, alpha, false)
 	}
 }
 

@@ -39,11 +39,11 @@ import (
 // (uniform or featureless) or too many blocks selects the legacy scan
 // strategies instead. The index is immutable after construction and safe
 // to share: core.New accepts a prebuilt index via Config.Index so the
-// serving layer builds it once per cached Environment. The parallel kernel
-// additionally consumes blockOf as its work-ownership key: when the matrix
-// is blocked with at least one block per worker, each superstep assigns
-// whole blocks to workers so a vertex is streamed by the worker owning its
-// current block (see parallel.go).
+// serving layer builds it once per cached Environment. A multi-worker
+// Partitioner additionally consumes blockOf as its work-ownership key: when
+// the matrix is blocked with at least one block per worker, each superstep
+// assigns whole blocks to workers so a vertex is streamed by the worker
+// owning its current block (see superstep.go).
 type CostIndex struct {
 	p    int
 	kind costKind

@@ -512,16 +512,16 @@ func TestFrontierDeterministicAcrossPool(t *testing.T) {
 	}
 }
 
-// TestEpochWraparoundReset covers gatherNeighbourCounts' wraparound path: at
-// epoch MaxInt32−1 the next gather must zero every stamp, restart the epoch
-// at 1, and still produce the exact neighbour counts — including on the
+// TestEpochWraparoundReset covers the gather's wraparound path: at epoch
+// MaxInt32−1 the next gather must zero every stamp, restart the epoch at
+// 1, and still produce the exact neighbour counts — including on the
 // gather immediately after the reset.
 func TestEpochWraparoundReset(t *testing.T) {
 	h := randomHG(4, 120, 160, 6)
 	cfg := DefaultConfig(profile.UniformCost(6))
 
 	gatherCounts := func(pr *Partitioner, v int) map[int32]float64 {
-		pr.gatherNeighbourCounts(v)
+		pr.sc.gather(h, pr.sc.assign, v, false)
 		out := make(map[int32]float64, len(pr.sc.touched))
 		for _, j := range pr.sc.touched {
 			out[j] = pr.sc.xCounts[j]
@@ -534,10 +534,10 @@ func TestEpochWraparoundReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pr.Release()
-	pr.resetAssignment()
+	pr.reset()
 	// Dirty the stamps with a few ordinary gathers first.
 	for v := 0; v < 10; v++ {
-		pr.gatherNeighbourCounts(v)
+		pr.sc.gather(h, pr.sc.assign, v, false)
 	}
 	pr.sc.epoch = math.MaxInt32 - 1
 
@@ -546,7 +546,7 @@ func TestEpochWraparoundReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Release()
-	ref.resetAssignment()
+	ref.reset()
 
 	for _, v := range []int{7, 8} { // wrap gather, then first post-wrap gather
 		got := gatherCounts(pr, v)

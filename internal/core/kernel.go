@@ -6,18 +6,16 @@ import (
 	"hyperpraw/internal/hypergraph"
 )
 
-// fastScanMinPartitions is the default partition count below which the
-// touched-only scan is skipped: for small p the exhaustive scan's
-// p·|touched| fused multiply-adds cost less than any per-vertex index
-// traffic. For the uniform path the hardcoded value is only the fallback —
-// the first gray-zone run measures the actual break-even on this machine
-// (see calibrate.go). The blocked (cost-tier) scan pays O(B) per vertex
-// for the block walk, so it amortises at the same small p as the uniform
-// scan; the scalar-bound pruned scan for unstructured matrices
+// fastScanMinPartitions is the partition count below which the uniform
+// and blocked touched-only scans are skipped: for small p the exhaustive
+// scan's p·|touched| fused multiply-adds cost less than any per-vertex
+// index traffic. Warm passes on catalog instances put the uniform scan's
+// break-even at 32 (see README, Performance); the blocked (cost-tier) scan
+// pays O(B) per vertex for the block walk, so it amortises at the same
+// small p. The scalar-bound pruned scan for unstructured matrices
 // (pickBounded) pays several heap pops per vertex and needs a larger p.
 const (
 	fastScanMinPartitions    = 32
-	blockedScanMinPartitions = 32
 	boundedScanMinPartitions = 128
 )
 
@@ -27,13 +25,13 @@ const (
 // fewer.
 const boundMargin = 1e-9
 
-// kernel is the streaming kernel both drivers run: the candidate pickers,
+// kernel is the streaming kernel every worker runs: the candidate pickers,
 // the per-vertex strategy dispatch with its adaptive kill switch, and the
-// upkeep of the pickers' load caches across moves. The serial Partitioner
-// and every parallelWorker embed one. The pickers read loads, which is the
-// scratch's load buffer in both: the exact loads of a serial run, or a
-// worker's view of the shared counters, refreshed every loadSyncEvery
-// visits and updated in place by the worker's own moves.
+// upkeep of the pickers' load caches across moves. Each worker of a
+// Partitioner embeds one. The pickers read loads, the worker's view of the
+// shared load counters: exact for a lone worker, and with several
+// refreshed every loadSyncEvery visits and updated in place by the
+// worker's own moves.
 type kernel struct {
 	h    *hypergraph.Hypergraph
 	cost [][]float64
@@ -93,17 +91,10 @@ func fastScanEligible(cfg Config, cidx *CostIndex, p int) bool {
 	if cfg.forceTouchedOnly {
 		return true
 	}
-	switch cidx.kind {
-	case costUniform:
-		// Above the probe grid's ceiling the answer cannot depend on the
-		// measurement — skip the one-time calibration probe entirely so
-		// large-p first requests never pay its latency.
-		return p >= calFallbackCutoff || p >= uniformFastCutoff()
-	case costBlocked:
-		return p >= blockedScanMinPartitions
-	default:
+	if cidx.kind == costBounded {
 		return p >= boundedScanMinPartitions
 	}
+	return p >= fastScanMinPartitions
 }
 
 // beginStream prepares one stream's scan state. The fast scans need α > 0
@@ -211,13 +202,6 @@ func (k *kernel) takeTally() StreamStats {
 	t := k.tally
 	k.tally = StreamStats{}
 	return t
-}
-
-// bestBuffer returns the pooled vertex-sized buffer the driver loop keeps
-// the best partition in.
-func (k *kernel) bestBuffer() []int32 {
-	k.sc.bestParts = growI32(k.sc.bestParts, k.h.NumVertices())
-	return k.sc.bestParts
 }
 
 // pickExhaustive scores every partition: the original O(p) kernel and the

@@ -13,14 +13,14 @@ package core
 // (the fresh minimum, plus any touched partitions that sorted before it) are
 // stashed and restored afterwards, so the index survives the whole stream.
 //
-// The serial kernel updates the index on every move, so a canonical entry's
-// key is always the live load. A parallel worker keys its index off its
-// private load view (refreshed from the shared counters at epoch
-// boundaries, plus its own moves applied eagerly) and calls reset when the
-// view is refreshed mid-stream; between refreshes a peer's move leaves a
-// canonical key slightly stale, which only mis-orders the candidate search
-// — consistent with the GraSP-style relaxation the parallel variant
-// already accepts.
+// A worker keys its index off its private load view (refreshed from the
+// shared counters at stream start and, with several workers, at epoch
+// boundaries, plus its own moves applied eagerly). A lone worker's view is
+// exact, so a canonical entry's key is always the live load. With several
+// workers it calls reset when the view is refreshed mid-stream; between
+// refreshes a peer's move leaves a canonical key slightly stale, which only
+// mis-orders the candidate search — consistent with the GraSP-style
+// relaxation the parallel variant already accepts.
 type minLoadIndex struct {
 	entries  []minLoadEntry
 	seq      []uint32 // per-partition canonical sequence number

@@ -133,7 +133,7 @@ func TestPairCountsMatchRecount(t *testing.T) {
 				cfg.Progress = func(IterationStats) {
 					passes++
 					if failed == nil {
-						failed = samePairs(&pr.sc.pairs, naivePairs(h, pr.parts, p, weighted))
+						failed = samePairs(&pr.sc.pairs, naivePairs(h, pr.sc.snapshot, p, weighted))
 					}
 				}
 				pr, err := New(h, cfg)
@@ -153,18 +153,15 @@ func TestPairCountsMatchRecount(t *testing.T) {
 	}
 }
 
-// TestParallelPairCountsMatchRecount checks the parallel run's matrix after
-// every superstep: maintained by the lone worker at w=1, recounted by
-// row range at every barrier at w=2.
+// TestParallelPairCountsMatchRecount checks the run's matrix after every
+// superstep at several worker counts: maintained by the lone worker at
+// w=1, recounted by row range at every barrier at w=2.
 func TestParallelPairCountsMatchRecount(t *testing.T) {
 	h := randomHG(32, 300, 420, 8)
 	p := 32
 	for _, workers := range []int{1, 2} {
 		for _, weighted := range []bool{false, true} {
 			for _, tc := range pairCountCases(p, h.NumVertices()) {
-				if tc.label == "repartition" || tc.label == "shuffled" {
-					continue // rejected or ignored by the parallel kernel
-				}
 				label := fmt.Sprintf("w=%d/%s/edgeweights=%v", workers, tc.label, weighted)
 				cfg := DefaultConfig(tc.cost)
 				cfg.MaxIterations = 20
@@ -173,22 +170,19 @@ func TestParallelPairCountsMatchRecount(t *testing.T) {
 				if tc.mut != nil {
 					tc.mut(&cfg)
 				}
-				pr, err := New(h, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg, cidx := pr.cfg, pr.cidx
-				pr.Release()
-				var run *parallelRun
+				var pr *Partitioner
 				var failed error
 				cfg.Progress = func(IterationStats) {
 					if failed == nil {
-						failed = samePairs(run.s.pairs, naivePairs(h, run.s.snapshot, p, weighted))
+						failed = samePairs(&pr.sc.pairs, naivePairs(h, pr.sc.snapshot, p, weighted))
 					}
 				}
-				run = newParallelRun(h, cfg, cidx, workers)
-				run.run()
-				run.close()
+				pr, err := newPartitioner(h, cfg, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pr.Run()
+				pr.Release()
 				if failed != nil {
 					t.Fatalf("%s: %v", label, failed)
 				}
@@ -205,18 +199,17 @@ func TestParallelPairCountsMatchRecount(t *testing.T) {
 func TestParallelRunKeepsOnePairMatrix(t *testing.T) {
 	h := randomHG(34, 300, 420, 8)
 	p, workers := 256, 8
-	pr, err := New(h, DefaultConfig(hier2Cost(p)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, cidx := pr.cfg, pr.cidx
-	pr.Release()
+	cfg := DefaultConfig(hier2Cost(p))
+	cfg.Index = BuildCostIndex(cfg.CostMatrix)
 	runtime.GC()
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	run := newParallelRun(h, cfg, cidx, workers)
-	run.close()
+	pr, err := newPartitioner(h, cfg, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr.Release()
 	runtime.ReadMemStats(&after)
 	matrix := uint64(8 * p * p)
 	if got := after.TotalAlloc - before.TotalAlloc; got > 2*matrix {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -9,22 +9,48 @@ import (
 	"hyperpraw/internal/profile"
 )
 
-// TestParallelMigrationPenaltyRejected pins the documented contract:
-// MigrationPenalty has never been honoured by the parallel kernel, and
-// silently ignoring it would hand back partitions the caller believes are
-// migration-aware. The error must be the sentinel, after validation.
-func TestParallelMigrationPenaltyRejected(t *testing.T) {
-	h := randomHG(11, 100, 140, 6)
-	cfg := DefaultConfig(profile.UniformCost(8))
-	cfg.MigrationPenalty = 0.5
-	_, err := PartitionParallel(h, cfg, 2)
-	if !errors.Is(err, ErrParallelMigration) {
-		t.Fatalf("got %v, want ErrParallelMigration", err)
+// TestParallelMigrationPenaltyHoldsVertices checks that every worker count
+// honours Config.MigrationPenalty: a penalty no load or communication term
+// can outweigh keeps every vertex of a warm start where it is.
+func TestParallelMigrationPenaltyHoldsVertices(t *testing.T) {
+	h := randomHG(11, 400, 560, 6)
+	p := 8
+	initial := make([]int32, h.NumVertices())
+	for v := range initial {
+		initial[v] = int32((v * 3) % p)
 	}
-	// Invalid configs still fail validation first.
-	cfg.ImbalanceTolerance = 0.5
-	if _, err := PartitionParallel(h, cfg, 2); err == nil || errors.Is(err, ErrParallelMigration) {
-		t.Fatalf("validation error expected before the migration check, got %v", err)
+	cfg := DefaultConfig(profile.UniformCost(p))
+	cfg.MaxIterations = 10
+	cfg.InitialParts = initial
+	cfg.MigrationPenalty = 1e12
+	for _, workers := range []int{1, 2, 4} {
+		out, err := PartitionParallel(h, cfg, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range initial {
+			if out.Parts[v] != initial[v] {
+				t.Fatalf("w=%d: vertex %d moved from %d to %d", workers, v, initial[v], out.Parts[v])
+			}
+		}
+	}
+}
+
+// TestNewStartsNoGoroutine pins that a one-worker Partitioner streams on
+// the calling goroutine: New and Run without Release, as several callers
+// use them, must leave no goroutine behind.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	h := randomHG(16, 300, 420, 6)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		pr, err := New(h, DefaultConfig(hier2Cost(32)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr.Run()
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after New and Run, %d before", after, before)
 	}
 }
 
@@ -61,22 +87,18 @@ func TestParallelInitialPartsSeeded(t *testing.T) {
 // block (no worker idles while peers stream).
 func TestParallelBlockOwnershipCoversWorkers(t *testing.T) {
 	h := randomHG(13, 600, 800, 8)
-	cfg := DefaultConfig(hier2Cost(64)) // 8 blocks of 8
-	pr, err := New(h, cfg)
+	workers := 4
+	pr, err := newPartitioner(h, DefaultConfig(hier2Cost(64)), workers) // 8 blocks of 8
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg = pr.cfg
-	cidx := pr.cidx
-	pr.Release()
-	workers := 4
-	run := newParallelRun(h, cfg, cidx, workers)
-	defer run.close()
-	if !run.s.blockAligned {
-		t.Fatalf("hier2 p=64 not block-aligned (kind=%d blocks=%d)", cidx.kind, len(cidx.blocks))
+	defer pr.Release()
+	pr.reset()
+	if !pr.blockAligned {
+		t.Fatalf("hier2 p=64 not block-aligned (kind=%d blocks=%d)", pr.cidx.kind, len(pr.cidx.blocks))
 	}
 	owned := make([]int, workers)
-	for b, w := range run.s.blockOwner {
+	for b, w := range pr.blockOwner {
 		if w < 0 || int(w) >= workers {
 			t.Fatalf("block %d owned by out-of-range worker %d", b, w)
 		}
@@ -84,7 +106,7 @@ func TestParallelBlockOwnershipCoversWorkers(t *testing.T) {
 	}
 	for w, n := range owned {
 		if n == 0 {
-			t.Fatalf("worker %d owns no blocks (owners %v)", w, run.s.blockOwner)
+			t.Fatalf("worker %d owns no blocks (owners %v)", w, pr.blockOwner)
 		}
 	}
 }
@@ -126,22 +148,18 @@ func TestParallelBlockRebalanceRace(t *testing.T) {
 // by the -benchmem gate on the parallel benchmark family).
 func TestParallelSuperstepDoesNotAllocate(t *testing.T) {
 	h := randomHG(15, 800, 1100, 8)
-	cfg := DefaultConfig(hier2Cost(64))
-	pr, err := New(h, cfg)
+	pr, err := newPartitioner(h, DefaultConfig(hier2Cost(64)), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg = pr.cfg
-	cidx := pr.cidx
-	pr.Release()
-	run := newParallelRun(h, cfg, cidx, 2)
-	defer run.close()
-	alpha := cfg.Alpha0
+	defer pr.Release()
+	pr.reset()
+	alpha := pr.cfg.Alpha0
 	for i := 0; i < 3; i++ {
-		run.superstep(1, alpha, false)
+		pr.superstep(1, alpha, false)
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		run.superstep(1, alpha, false)
+		pr.superstep(1, alpha, false)
 	})
 	if avg != 0 {
 		t.Fatalf("superstep allocates %.1f objects/op on the driver, want 0", avg)

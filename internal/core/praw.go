@@ -27,6 +27,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"hyperpraw/internal/hypergraph"
 	"hyperpraw/internal/metrics"
@@ -65,7 +66,9 @@ type Config struct {
 	Patience int
 	// ShuffledOrder visits vertices in a per-stream random order instead of
 	// the natural order. Natural order matches the paper; shuffling is an
-	// ablation knob (see the ablation benchmarks).
+	// ablation knob (see the ablation benchmarks). The order is reshuffled
+	// before every stream, and PartitionParallel's workers walk the same
+	// order, each its own share of it.
 	ShuffledOrder bool
 	// Seed drives the shuffled order (unused otherwise).
 	Seed uint64
@@ -104,6 +107,7 @@ type Config struct {
 	// model of the paper's related work (Catalyurek et al. [6,7]) within the
 	// restreaming framework: useful when the partition is being *re*computed
 	// for an application whose data already lives somewhere. 0 disables it.
+	// It applies at every worker count, PartitionParallel's included.
 	MigrationPenalty float64
 	// InitialParts optionally seeds the stream with an existing assignment
 	// instead of round-robin (the repartitioning scenario). Must assign
@@ -135,10 +139,10 @@ type Config struct {
 	// candidate scan. Unexported: only the in-package equivalence tests and
 	// benchmarks use it, as the reference and baseline respectively.
 	forceExhaustive bool
-	// forceTouchedOnly enables the touched-only scan below
-	// fastScanMinPartitions, where it is a net loss and normally skipped.
-	// Unexported: the equivalence tests use it to exercise the fast paths at
-	// small p.
+	// forceTouchedOnly enables the touched-only scans below their
+	// partition-count cutoffs, where they are a net loss and normally
+	// skipped. Unexported: the equivalence tests use it to exercise the
+	// fast paths at small p.
 	forceTouchedOnly bool
 }
 
@@ -239,42 +243,73 @@ func (r StopReason) String() string {
 	}
 }
 
-// Partitioner holds the streaming state for one hypergraph/machine pair.
-// Create with New, run with Run, and call Release when done to return the
-// pooled buffers. A Partitioner is not safe for concurrent use.
+// Partitioner runs Algorithm 1 for one hypergraph/machine pair as a
+// sequence of supersteps over a pool of workers: each superstep streams
+// every vertex once, each worker its own share, and then reduces the pass
+// at a barrier (loads, imbalance, the pass snapshot and PC(P)). New builds
+// a one-worker pool, PartitionParallel a larger one, and both run the same
+// Run. Worker 0 runs on the calling goroutine, so a one-worker Partitioner
+// starts no goroutine. Call Release when done to return the pooled buffers
+// and stop the other workers' goroutines. A Partitioner is not safe for
+// concurrent use.
 type Partitioner struct {
-	kernel
-	cfg Config
+	h    *hypergraph.Hypergraph
+	cfg  Config
+	cidx *CostIndex
+	p    int
 
-	parts  []int32 // aliases sc.parts
-	totalW int64
+	// sc is worker 0's scratch, which also holds the run state: the live
+	// assignment, the pass snapshot, the shared load counters and the
+	// other run-level buffers (see scratch).
+	sc   *scratch
+	pool []*worker
+	wg   sync.WaitGroup // phase barrier
+	exit sync.WaitGroup // worker goroutine lifetimes
 
-	// rng drives the shuffled stream order (ShuffledOrder only).
+	// rng drives the shuffled visiting order (ShuffledOrder only).
 	rng splitMix
+
+	// Block-aligned ownership (blockAligned, several workers on a blocked
+	// matrix): blockOwner maps each cost-tier block to the worker that
+	// streams its vertices this pass, reassigned every superstep by
+	// rebalanceBlocks from the merged census blockVerts. Workers only read
+	// it while streaming; the driver only writes it between barriers.
+	blockAligned bool
+	blockOwner   []int32
+	blockVerts   []int64 // merged per-block vertex census
+	blockRank    []int32 // census-sorted block ids (rebalance scratch)
+	ownerBudget  []int64 // per-worker vertex budget (rebalance scratch)
 }
 
-// New validates the configuration and prepares a Partitioner.
+// New validates the configuration and prepares a one-worker Partitioner.
 func New(h *hypergraph.Hypergraph, cfg Config) (*Partitioner, error) {
-	cfg, cidx, err := prepare(h, cfg)
-	if err != nil {
-		return nil, err
-	}
-	nv, p := h.NumVertices(), len(cfg.CostMatrix)
-	sc := acquireScratch(nv, p)
-	sc.parts = growI32(sc.parts, nv)
-	sc.pairs.size(p)
-	pr := &Partitioner{cfg: cfg, parts: sc.parts}
-	pr.setup(h, &pr.cfg, cidx, sc)
-	return pr, nil
+	return newPartitioner(h, cfg, 1)
 }
 
 // prepare validates cfg against h, defaults α, and resolves the cost-tier
 // index: taken from Config.Index when it matches the matrix, built
-// otherwise. New and PartitionParallel share it.
+// otherwise. It also rejects negative vertex and hyperedge weights, which
+// hypergraph.Builder accepts: the fast scans' load caches assume a move
+// lowers its source partition's load, and their pruning bounds assume
+// non-negative neighbour counts.
 func prepare(h *hypergraph.Hypergraph, cfg Config) (Config, *CostIndex, error) {
 	p := len(cfg.CostMatrix)
 	if p == 0 {
 		return cfg, nil, fmt.Errorf("core: empty cost matrix")
+	}
+	if h.HasVertexWeights() {
+		for v := 0; v < h.NumVertices(); v++ {
+			if w := h.VertexWeight(v); w < 0 {
+				return cfg, nil, fmt.Errorf("core: vertex %d has negative weight %d", v, w)
+			}
+		}
+	}
+	if h.HasEdgeWeights() {
+		for e := 0; e < h.NumEdges(); e++ {
+			if w := h.EdgeWeight(e); w < 0 {
+				return cfg, nil, fmt.Errorf("core: hyperedge %d has negative weight %d", e, w)
+			}
+		}
 	}
 	for i, row := range cfg.CostMatrix {
 		if len(row) != p {
@@ -329,14 +364,20 @@ func prepare(h *hypergraph.Hypergraph, cfg Config) (Config, *CostIndex, error) {
 	return cfg, cidx, nil
 }
 
-// Release returns the Partitioner's pooled buffers; the Partitioner (and any
-// aliases of its internal state) must not be used afterwards. Results
-// returned by Run are copies and stay valid.
+// Release stops the pool's worker goroutines and returns the pooled
+// buffers; the Partitioner (and any aliases of its internal state) must not
+// be used afterwards. Results returned by Run are copies and stay valid.
 func (pr *Partitioner) Release() {
-	releaseScratch(pr.sc)
-	pr.sc = nil
-	pr.parts = nil
-	pr.loads = nil
+	for _, w := range pr.pool {
+		if w.cmds != nil {
+			close(w.cmds)
+		}
+	}
+	pr.exit.Wait()
+	for _, w := range pr.pool {
+		releaseScratch(w.sc)
+	}
+	pr.pool, pr.sc = nil, nil
 }
 
 // costStructure classifies the cost matrix for the touched-only scan:
@@ -376,69 +417,66 @@ func FennelAlpha(p, numEdges, numVertices int) float64 {
 	return math.Sqrt(float64(p)) * float64(numEdges) / math.Sqrt(float64(numVertices))
 }
 
-// Run executes Algorithm 1 and returns the resulting partition.
+// Run executes Algorithm 1 from the initial assignment and returns the
+// resulting partition. Every call starts afresh, so a Partitioner can run
+// again.
 func (pr *Partitioner) Run() Result {
-	nv := pr.h.NumVertices()
-	pr.resetAssignment()
-	pr.expectedLoads() // fills sc.expected, which every superstep reads
+	pr.reset()
+	return pr.restream()
+}
+
+// reset restores the initial assignment (round-robin, or the caller's when
+// repartitioning) and everything derived from it: the shared load
+// counters, E(i), the pair counts and, under block-aligned ownership, the
+// block census. It restarts the shuffled order and clears the frontier
+// stamps too, so no run depends on what the pooled buffers held before.
+func (pr *Partitioner) reset() {
+	h, sc, p := pr.h, pr.sc, pr.p
+	loads := pr.pool[0].loads
+	clear(loads)
+	var totalW int64
+	for v := range sc.snapshot {
+		part := int32(v % p)
+		if pr.cfg.InitialParts != nil {
+			part = pr.cfg.InitialParts[v]
+		}
+		sc.assign[v].Store(part)
+		sc.snapshot[v] = part
+		w := h.VertexWeight(v)
+		loads[part] += w
+		totalW += w
+	}
+	for i, l := range loads {
+		sc.shared[i].v.Store(l)
+	}
+	expectedLoadsFor(sc.expected, pr.cfg.Capacities, totalW)
 	if pr.cfg.ShuffledOrder {
-		pr.sc.order = growI32(pr.sc.order, nv)
-		for i := range pr.sc.order {
-			pr.sc.order[i] = int32(i)
+		for i := range sc.order {
+			sc.order[i] = int32(i)
 		}
 		pr.rng = splitMix{state: pr.cfg.Seed ^ 0x5eed}
 	}
 	if pr.cfg.FrontierRestreaming {
-		// Fresh stamps per run keep frontier runs deterministic no matter
-		// what a pooled scratch streamed before.
-		pr.sc.dirty = growI32(pr.sc.dirty, nv)
-		for i := range pr.sc.dirty {
-			pr.sc.dirty[i] = 0
+		clear(sc.dirty)
+	}
+	sc.countPairs(h, sc.assign, pr.cfg.UseEdgeWeights, &sc.pairs, 0, p)
+	if pr.blockAligned {
+		clear(pr.blockVerts)
+		for _, part := range sc.snapshot {
+			pr.blockVerts[pr.cidx.blockOf[part]]++
 		}
+		pr.rebalanceBlocks()
 	}
-	return restream(pr.h, &pr.cfg, pr)
 }
 
-// superstep is one serial pass of the driver loop: shuffle the visiting
-// order when asked, stream, then measure the imbalance and PC(P).
-func (pr *Partitioner) superstep(n int, alpha float64, frontier bool) (moves int, imb, cost float64) {
-	var order []int32
-	if pr.cfg.ShuffledOrder {
-		order = pr.sc.order
-		pr.rng.shuffle(order)
-	}
-	expected := pr.sc.expected
-	moves = pr.stream(alpha, expected, order, n, frontier)
-	return moves, imbalanceFor(pr.cfg.Capacities, pr.loads, expected), pr.commCost()
-}
-
-// assignment is the live assignment the stream updates in place.
-func (pr *Partitioner) assignment() []int32 { return pr.parts }
-
-// restreamer is one driver's side of Algorithm 1's outer loop (restream):
-// the serial Partitioner, whose superstep shuffles and streams, or a
-// parallelRun, whose superstep dispatches the stream and the barrier
-// reductions to its workers.
-type restreamer interface {
-	// superstep streams pass n and returns its move count together with
-	// the end-of-pass imbalance and PC(P).
-	superstep(n int, alpha float64, frontier bool) (moves int, imb, cost float64)
-	// assignment is the current assignment and commCost its PC(P).
-	assignment() []int32
-	commCost() float64
-	// bestBuffer returns a vertex-sized buffer for the best partition.
-	bestBuffer() []int32
-	// takeTally returns the kernel counters and clears them.
-	takeTally() StreamStats
-}
-
-// restream runs Algorithm 1's outer loop over r: α tempering while the
-// imbalance exceeds the tolerance, then the refinement phase, which tracks
-// the best in-tolerance partition and stops once PC(P) has failed to
-// improve for Patience consecutive streams. It polls Config.Stop, records
-// History, calls Progress, and flushes the kernel counters into
-// Config.Stats.
-func restream(h *hypergraph.Hypergraph, cfg *Config, r restreamer) Result {
+// restream runs Algorithm 1's outer loop, one superstep per stream: α
+// tempering while the imbalance exceeds the tolerance, then the refinement
+// phase, which tracks the best in-tolerance partition and stops once PC(P)
+// has failed to improve for Patience consecutive streams. It polls
+// Config.Stop, records History, calls Progress, and flushes the workers'
+// kernel counters into Config.Stats.
+func (pr *Partitioner) restream() Result {
+	cfg := &pr.cfg
 	alpha := cfg.Alpha0
 	patience := cfg.Patience
 	if patience <= 0 {
@@ -451,7 +489,8 @@ func restream(h *hypergraph.Hypergraph, cfg *Config, r restreamer) Result {
 	// needs it.
 	var bestParts []int32
 	if cfg.RefinementPolicy == RefineUntilNoImprovement {
-		bestParts = r.bestBuffer()
+		pr.sc.bestParts = grow(pr.sc.bestParts, len(pr.sc.snapshot))
+		bestParts = pr.sc.bestParts
 	}
 	bestCost := math.Inf(1)
 	haveBest := false
@@ -473,7 +512,7 @@ func restream(h *hypergraph.Hypergraph, cfg *Config, r restreamer) Result {
 		} else {
 			consecFrontier = 0
 		}
-		moves, imb, cost := r.superstep(n, alpha, frontier)
+		moves, imb, cost := pr.superstep(n, alpha, frontier)
 		res.Iterations = n
 		inTol := imb <= cfg.ImbalanceTolerance
 		lastInTol = inTol
@@ -509,7 +548,7 @@ func restream(h *hypergraph.Hypergraph, cfg *Config, r restreamer) Result {
 		// consecutive streams.
 		if !haveBest || cost < bestCost {
 			bestCost = cost
-			copy(bestParts, r.assignment())
+			copy(bestParts, pr.sc.snapshot)
 			haveBest = true
 			badStreak = 0
 		} else {
@@ -525,17 +564,20 @@ func restream(h *hypergraph.Hypergraph, cfg *Config, r restreamer) Result {
 	// PC(P) depends only on the partition, so the best partition's cost is
 	// the value recorded when it was saved; a run stopped before its first
 	// pass reports the initial assignment's.
-	final := r.assignment()
+	final := pr.sc.snapshot
 	if haveBest {
 		final = bestParts
 		res.FinalCommCost = bestCost
 	} else {
-		res.FinalCommCost = r.commCost()
+		res.FinalCommCost = pr.sc.pairs.cost(cfg.CostMatrix)
 	}
 	res.Parts = append([]int32(nil), final...)
-	res.FinalImbalance = metrics.Imbalance(metrics.Loads(h, res.Parts, len(cfg.CostMatrix)))
+	res.FinalImbalance = metrics.Imbalance(metrics.Loads(pr.h, res.Parts, pr.p))
 	if cfg.Stats != nil {
-		t := r.takeTally()
+		var t StreamStats
+		for _, w := range pr.pool {
+			t.Add(w.takeTally())
+		}
 		t.Passes += int64(res.Iterations)
 		t.FrontierPasses += frontierPasses
 		cfg.Stats.Add(t)
@@ -543,41 +585,9 @@ func restream(h *hypergraph.Hypergraph, cfg *Config, r restreamer) Result {
 	return res
 }
 
-// resetAssignment restores the initial assignment (round-robin, or the
-// caller's when repartitioning), the loads derived from it, and the
-// neighbour-pair counts the convergence check maintains from then on. Run
-// starts with it; the kernel benchmarks call it to restart between
-// measured streams.
-func (pr *Partitioner) resetAssignment() {
-	h, p := pr.h, pr.p
-	nv := h.NumVertices()
-	if pr.cfg.InitialParts != nil {
-		copy(pr.parts, pr.cfg.InitialParts)
-	} else {
-		for v := 0; v < nv; v++ {
-			pr.parts[v] = int32(v % p)
-		}
-	}
-	for i := range pr.loads {
-		pr.loads[i] = 0
-	}
-	pr.totalW = 0
-	for v := 0; v < nv; v++ {
-		w := h.VertexWeight(v)
-		pr.loads[pr.parts[v]] += w
-		pr.totalW += w
-	}
-	pr.sc.countPairs(h, pr.parts, pr.cfg.UseEdgeWeights, &pr.sc.pairs, 0, p)
-}
-
-// expectedLoads fills and returns the scratch's E(i) vector.
-func (pr *Partitioner) expectedLoads() []float64 {
-	return expectedLoadsFor(pr.sc.expected, pr.cfg.Capacities, pr.totalW)
-}
-
 // expectedLoadsFor fills expected with E(i) per partition: totalW/p for
 // homogeneous machines, or proportional to the capacities caps.
-func expectedLoadsFor(expected, caps []float64, totalW int64) []float64 {
+func expectedLoadsFor(expected, caps []float64, totalW int64) {
 	if caps == nil {
 		e := float64(totalW) / float64(len(expected))
 		if e == 0 {
@@ -586,7 +596,7 @@ func expectedLoadsFor(expected, caps []float64, totalW int64) []float64 {
 		for i := range expected {
 			expected[i] = e
 		}
-		return expected
+		return
 	}
 	var capTotal float64
 	for _, c := range caps {
@@ -599,7 +609,6 @@ func expectedLoadsFor(expected, caps []float64, totalW int64) []float64 {
 		}
 		expected[i] = e
 	}
-	return expected
 }
 
 // imbalanceFor returns the workload imbalance of loads: the paper's
@@ -616,14 +625,6 @@ func imbalanceFor(caps []float64, loads []int64, expected []float64) float64 {
 		}
 	}
 	return worst
-}
-
-// commCost is the refinement-phase quality metric: PC(P) with the
-// algorithm's own cost matrix, hyperedge-weighted when UseEdgeWeights,
-// evaluated from the pair counts the stream keeps current (see
-// pairCounts.cost).
-func (pr *Partitioner) commCost() float64 {
-	return pr.sc.pairs.cost(pr.cost)
 }
 
 // splitMix is a tiny local PRNG for the optional shuffled stream order
@@ -643,85 +644,6 @@ func (s *splitMix) shuffle(xs []int32) {
 		j := int(s.next() % uint64(i+1))
 		xs[i], xs[j] = xs[j], xs[i]
 	}
-}
-
-// stream performs one pass, reassigning each visited vertex greedily with
-// the kernel's pick, and returns the number of vertices that moved. order,
-// when non-nil, gives the visiting sequence; nil means natural order. pass
-// is the 1-based iteration number; when frontierOnly is set, only vertices
-// whose dirty stamp matches this pass (they or a neighbour moved last pass)
-// are visited.
-func (pr *Partitioner) stream(alpha float64, expected []float64, order []int32, pass int, frontierOnly bool) int {
-	h := pr.h
-	sc := pr.sc
-	nv := h.NumVertices()
-	moves := 0
-	var visited int64
-
-	pr.beginStream(alpha, expected)
-	mark := pr.cfg.FrontierRestreaming
-	next := int32(pass) + 1
-	migration := pr.cfg.MigrationPenalty
-	for idx := 0; idx < nv; idx++ {
-		v := idx
-		if order != nil {
-			v = int(order[idx])
-		}
-		// Visit when due this pass OR already marked for the next one (a
-		// neighbour that moved earlier in this very pass must not cancel a
-		// pending visit by overwriting the stamp with pass+1).
-		if frontierOnly {
-			if sc.dirty[v] < int32(pass) {
-				continue
-			}
-			visited++
-		}
-		pr.gatherNeighbourCounts(v)
-
-		cur := pr.parts[v]
-		penalty := 0.0
-		if migration > 0 {
-			penalty = migration * float64(h.VertexWeight(v))
-		}
-		if best := pr.pick(cur, penalty, alpha, expected); best != cur {
-			pr.parts[v] = best
-			sc.movePairs(cur, best)
-			pr.noteMove(cur, best, h.VertexWeight(v), expected)
-			if mark {
-				pr.markDirty(v, next)
-			}
-			moves++
-		}
-	}
-	pr.tally.Moves += int64(moves)
-	pr.tally.FrontierVisited += visited
-	return moves
-}
-
-// markDirty stamps v and every neighbour of v as frontier members for pass
-// `next`: a vertex must be re-streamed iff it or a neighbour moved. The
-// stamp is checked before the store: vertices on hot hyperedges are marked
-// once per moving neighbour, and skipping the redundant stores keeps their
-// cache lines clean instead of re-dirtying them on every mark.
-func (pr *Partitioner) markDirty(v int, next int32) {
-	h := pr.h
-	dirty := pr.sc.dirty
-	dirty[v] = next
-	for _, e := range h.IncidentEdges(v) {
-		for _, u := range h.Pins(int(e)) {
-			if dirty[u] != next {
-				dirty[u] = next
-			}
-		}
-	}
-}
-
-// gatherNeighbourCounts fills xCounts/touched with X_j(v) against the live
-// assignment (see scratch.gather). Epoch wraparound (after 2^31−2 gathers,
-// e.g. a pooled scratch serving jobs for days) is handled by
-// scratch.bumpEpoch, which zeroes the stamps and restarts the epoch at 1.
-func (pr *Partitioner) gatherNeighbourCounts(v int) {
-	pr.sc.gather(pr.h, pr.parts, v, pr.cfg.UseEdgeWeights)
 }
 
 // Partition is the one-call convenience wrapper: configure, run, return the

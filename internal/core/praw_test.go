@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -49,6 +50,54 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(h, valid); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
+// TestNegativeWeightsRejected: hypergraph.Builder accepts negative vertex
+// and hyperedge weights, but the fast scans assume non-negative ones. On
+// this fixture (every third vertex weighted −2) a forced touched-only run
+// and a forced exhaustive run once disagreed on every vertex, so New and
+// PartitionParallel must refuse it and name the first offending weight.
+func TestNegativeWeightsRejected(t *testing.T) {
+	h := randomHG(7, 400, 500, 8)
+	reweighted := func(vertexWeight func(v int) int64, edgeWeight func(e int) int64) *hypergraph.Hypergraph {
+		b := hypergraph.NewBuilder(h.NumVertices())
+		for e := 0; e < h.NumEdges(); e++ {
+			pins := make([]int, 0, h.Cardinality(e))
+			for _, u := range h.Pins(e) {
+				pins = append(pins, int(u))
+			}
+			b.AddWeightedEdge(edgeWeight(e), pins...)
+		}
+		for v := 0; v < h.NumVertices(); v++ {
+			b.SetVertexWeight(v, vertexWeight(v))
+		}
+		return b.Build()
+	}
+	for _, tc := range []struct {
+		h    *hypergraph.Hypergraph
+		want string
+	}{
+		{reweighted(func(v int) int64 {
+			if v%3 == 2 {
+				return -2
+			}
+			return h.VertexWeight(v)
+		}, h.EdgeWeight), "vertex 2 has negative weight -2"},
+		{reweighted(h.VertexWeight, func(e int) int64 {
+			if e == 5 {
+				return -1
+			}
+			return h.EdgeWeight(e)
+		}), "hyperedge 5 has negative weight -1"},
+	} {
+		cfg := DefaultConfig(hier2Cost(64))
+		if _, err := New(tc.h, cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("New: %v, want an error naming %q", err, tc.want)
+		}
+		if _, err := PartitionParallel(tc.h, cfg, 2); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("PartitionParallel: %v, want an error naming %q", err, tc.want)
+		}
 	}
 }
 

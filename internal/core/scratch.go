@@ -4,18 +4,21 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"hyperpraw/internal/hypergraph"
 )
 
-// scratch bundles every reusable buffer one streaming kernel needs: the
+// scratch bundles every reusable buffer one worker needs — the
 // epoch-stamped neighbour gather, the min-load index of the touched-only
-// scan, the frontier stamps of frontier restreaming, the assignment/load
-// vectors, and the neighbour-pair counts behind the convergence check.
+// scan, the load view — and, in worker 0's scratch, the run's own state:
+// the live assignment, the pass snapshot, frontier stamps, visiting order,
+// shared load counters and the neighbour-pair counts behind the
+// convergence check.
 //
 // Scratches are recycled through a package-level sync.Pool so a long-lived
-// server partitioning job after job stops allocating in the kernel: New (and
-// PartitionParallel's per-worker scratches) acquire from the pool and
+// server partitioning job after job stops allocating in the kernel: New and
+// PartitionParallel acquire one per worker from the pool and
 // Partitioner.Release returns them. The epoch counters live here and only
 // ever grow, which is what makes reuse safe — stamps written for a previous
 // (possibly larger) hypergraph can never equal a future epoch.
@@ -47,96 +50,78 @@ type scratch struct {
 	blockStale  []bool
 	tLBAll      []float64
 
-	// Frontier restreaming stamps: dirty[v] holds the latest pass index for
-	// which v must be re-streamed.
-	dirty []int32
-
-	// Assignment/load state for a serial Partitioner. A parallel worker
-	// shares assignment state through parallelState instead and reuses
-	// loads as its private load view; a parallel run keeps its best
-	// partition in its first worker's bestParts.
-	parts     []int32
-	loads     []int64
-	bestParts []int32
-	order     []int32
-	expected  []float64
-
-	// Parallel-worker state: delta batches the worker's unflushed load
-	// changes against the shared counters (must be re-zeroed on acquire —
-	// a pooled scratch may carry another run's residue); blockVerts is the
-	// worker's share of the per-block vertex census. Both are grown lazily
-	// by the parallel kernel only.
+	// Per-worker state: loads is the worker's view of the shared load
+	// counters, delta batches its unflushed load changes against them, and
+	// blockVerts is its share of the per-block vertex census (block-aligned
+	// ownership only).
+	loads      []int64
 	delta      []int64
 	blockVerts []int64
 
+	// Run state, used in worker 0's scratch only. assign is the live
+	// assignment the workers stream against, snapshot the start-of-pass
+	// copy of it, shared the cache-line padded load counters, dirty the
+	// frontier stamps (dirty[v] is the latest pass in which v must be
+	// re-streamed), order the shuffled visiting order, expected E(i), and
+	// bestParts the best partition of the refinement phase. The nv-sized
+	// buffers other than assign and snapshot are grown only by the options
+	// that use them.
+	assign    []atomic.Int32
+	snapshot  []int32
+	shared    []paddedLoad
+	dirty     []int32
+	order     []int32
+	expected  []float64
+	bestParts []int32
+
 	// pairs holds the neighbour-pair counts behind the convergence check
-	// (see pairCounts). A serial run recounts them when the assignment is
-	// reset and then maintains them move by move from the X_j(v) each
-	// visit already gathered. There is one matrix per run, never one per
-	// worker: a parallel run keeps it in its first worker's scratch, and
-	// the other workers' scratches leave this field alone.
+	// (see pairCounts), one matrix per run however many workers it has. A
+	// one-worker run recounts them when the assignment is reset and then
+	// maintains them move by move from the X_j(v) each visit already
+	// gathered; with several workers every barrier recounts them.
 	pairs pairCounts
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{} }}
 
 // acquireScratch takes a scratch from the pool and sizes the buffers every
-// kernel needs: the gather state and the p-sized load vectors. The other
-// nv-sized buffers (parts/bestParts/order/dirty) and the p×p pair matrix
-// are grown lazily by the code paths that actually use them, so parallel
-// workers — which share assignment state through parallelState — and
-// feature-off serial runs don't allocate or pin arrays they never touch.
-// Growing reallocates (zeroed, which is always safe); shrinking reslices,
-// leaving stale stamps that the monotone epoch counters never collide with.
+// worker needs: the gather state and the p-sized load vectors. The run
+// state and the p×p pair matrix are grown by newPartitioner in worker 0's
+// scratch only, so the other workers' scratches don't allocate or pin
+// arrays they never touch. Growing reallocates (zeroed, which is always
+// safe); shrinking reslices, leaving stale stamps that the monotone epoch
+// counters never collide with.
 func acquireScratch(nv, p int) *scratch {
 	sc := scratchPool.Get().(*scratch)
-	sc.vstamp = growI32(sc.vstamp, nv)
-	sc.pstamp = growI32(sc.pstamp, p)
-	sc.sstamp = growI32(sc.sstamp, p)
+	sc.vstamp = grow(sc.vstamp, nv)
+	sc.pstamp = grow(sc.pstamp, p)
+	sc.sstamp = grow(sc.sstamp, p)
 	sc.touched = sc.touched[:0]
-	if cap(sc.xCounts) < p {
-		sc.xCounts = make([]float64, p)
-		sc.expected = make([]float64, p)
-	} else {
-		sc.xCounts = sc.xCounts[:p]
-		sc.expected = sc.expected[:p]
-	}
-	if cap(sc.loads) < p {
-		sc.loads = make([]int64, p)
-	} else {
-		sc.loads = sc.loads[:p]
-	}
+	sc.xCounts = grow(sc.xCounts, p)
+	sc.loads = grow(sc.loads, p)
 	return sc
 }
 
-func releaseScratch(sc *scratch) {
-	if sc != nil {
-		scratchPool.Put(sc)
-	}
-}
+func releaseScratch(sc *scratch) { scratchPool.Put(sc) }
 
-func growI32(s []int32, n int) []int32 {
+// grow returns s resliced to length n, or a fresh zeroed slice when s is
+// too small.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func growI64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
-
-// gather fills xCounts/touched with X_j(v) under the assignment parts: the
-// number of distinct neighbours of v in each partition j (paper eq 4).
+// gather fills xCounts/touched with X_j(v) under the live assignment parts:
+// the number of distinct neighbours of v in each partition j (paper eq 4).
 // Distinctness is enforced with epoch stamps so a neighbour shared by
 // several hyperedges counts once, and v itself never counts. With weighted
 // set the semantics switch to hyperedge-weighted pin incidences: every
 // (edge, neighbour) pair contributes w(e), modelling per-edge
-// communication volume (§8.2).
-func (sc *scratch) gather(h *hypergraph.Hypergraph, parts []int32, v int, weighted bool) {
+// communication volume (§8.2). Epoch wraparound (after 2^31−2 gathers,
+// e.g. a pooled scratch serving jobs for days) is handled by bumpEpoch.
+func (sc *scratch) gather(h *hypergraph.Hypergraph, parts []atomic.Int32, v int, weighted bool) {
 	epoch := sc.bumpEpoch()
 	sc.vstamp[v] = epoch
 	sc.touched = sc.touched[:0]
@@ -155,7 +140,7 @@ func (sc *scratch) gather(h *hypergraph.Hypergraph, parts []int32, v int, weight
 			} else {
 				sc.vstamp[u] = epoch
 			}
-			part := parts[u]
+			part := parts[u].Load()
 			if sc.pstamp[part] != epoch {
 				sc.pstamp[part] = epoch
 				sc.xCounts[part] = 0
@@ -191,18 +176,10 @@ func (pc *pairCounts) size(p int) {
 		return
 	}
 	pc.p, pc.words = p, (p+63)/64
-	pc.m = growI64(pc.m, p*p)
-	if cap(pc.nz) < p*pc.words {
-		pc.nz = make([]uint64, p*pc.words)
-	} else {
-		pc.nz = pc.nz[:p*pc.words]
-	}
-	for i := range pc.m {
-		pc.m[i] = 0
-	}
-	for i := range pc.nz {
-		pc.nz[i] = 0
-	}
+	pc.m = grow(pc.m, p*p)
+	pc.nz = grow(pc.nz, p*pc.words)
+	clear(pc.m)
+	clear(pc.nz)
 }
 
 // cost evaluates PC(P) = Σ_a (Σ_j m[a·p+j]·C(a,j)): rows in ascending a,
@@ -237,9 +214,9 @@ func (pc *pairCounts) cost(cost [][]float64) float64 {
 // countPairs recounts rows [lo, hi) of pc: it clears their marked cells,
 // then every vertex whose partition lies in [lo, hi) adds its gathered
 // X_j(v) to its row. Over all p rows this is the matrix of parts; over a
-// row range it is one parallel worker's disjoint share of the barrier
-// recount, written straight into the run's single matrix.
-func (sc *scratch) countPairs(h *hypergraph.Hypergraph, parts []int32, weighted bool, pc *pairCounts, lo, hi int) {
+// row range it is one worker's disjoint share of the barrier recount,
+// written straight into the run's single matrix.
+func (sc *scratch) countPairs(h *hypergraph.Hypergraph, parts []atomic.Int32, weighted bool, pc *pairCounts, lo, hi int) {
 	for a := lo; a < hi; a++ {
 		marks := pc.nz[a*pc.words : (a+1)*pc.words]
 		for k, word := range marks {
@@ -249,7 +226,8 @@ func (sc *scratch) countPairs(h *hypergraph.Hypergraph, parts []int32, weighted 
 			marks[k] = 0
 		}
 	}
-	for v, a := range parts {
+	for v := range parts {
+		a := parts[v].Load()
 		if int(a) < lo || int(a) >= hi {
 			continue
 		}
@@ -310,17 +288,10 @@ func (sc *scratch) bumpEpoch() int32 {
 // caches for one stream: every block starts stale and is recomputed from
 // the live loads on first use.
 func (sc *scratch) resetBlockState(nb int) {
-	if cap(sc.blockMinQ) < nb {
-		sc.blockMinQ = make([]float64, nb)
-		sc.blockMinIdx = make([]int32, nb)
-		sc.blockStale = make([]bool, nb)
-		sc.tLBAll = make([]float64, nb)
-	} else {
-		sc.blockMinQ = sc.blockMinQ[:nb]
-		sc.blockMinIdx = sc.blockMinIdx[:nb]
-		sc.blockStale = sc.blockStale[:nb]
-		sc.tLBAll = sc.tLBAll[:nb]
-	}
+	sc.blockMinQ = grow(sc.blockMinQ, nb)
+	sc.blockMinIdx = grow(sc.blockMinIdx, nb)
+	sc.blockStale = grow(sc.blockStale, nb)
+	sc.tLBAll = grow(sc.tLBAll, nb)
 	for b := range sc.blockStale {
 		sc.blockStale[b] = true
 	}

@@ -72,6 +72,9 @@ func ReadHMetis(r io.Reader) (*Hypergraph, error) {
 			if err != nil {
 				return nil, fmt.Errorf("hmetis: edge %d: bad weight %q", e, toks[0])
 			}
+			if weight < 0 {
+				return nil, fmt.Errorf("hmetis: edge %d: negative weight %d", e, weight)
+			}
 			toks = toks[1:]
 		}
 		pins := make([]int, 0, len(toks))
@@ -96,6 +99,9 @@ func ReadHMetis(r io.Reader) (*Hypergraph, error) {
 			w, err := strconv.ParseInt(strings.TrimSpace(line), 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("hmetis: vertex weight %d: bad value %q", v, line)
+			}
+			if w < 0 {
+				return nil, fmt.Errorf("hmetis: vertex %d: negative weight %d", v, w)
 			}
 			b.SetVertexWeight(v, w)
 		}

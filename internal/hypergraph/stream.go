@@ -88,6 +88,9 @@ func ParseHMetisStream(r io.Reader, sink StreamSink) error {
 			if !ok {
 				return fmt.Errorf("hmetis: edge %d: missing weight", e)
 			}
+			if w < 0 {
+				return fmt.Errorf("hmetis: edge %d: negative weight %d", e, w)
+			}
 			weight = w
 		}
 		pins = pins[:0]
@@ -122,6 +125,9 @@ func ParseHMetisStream(r io.Reader, sink StreamSink) error {
 			}
 			if _, extra, err := tz.intInLine(); err != nil || extra {
 				return fmt.Errorf("hmetis: vertex weight %d: trailing data on line", v)
+			}
+			if w < 0 {
+				return fmt.Errorf("hmetis: vertex %d: negative weight %d", v, w)
 			}
 			if err := sink.VertexWeight(v, w); err != nil {
 				return err

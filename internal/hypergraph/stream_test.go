@@ -346,3 +346,22 @@ func TestFromCSRRejectsBadArrays(t *testing.T) {
 		}
 	}
 }
+
+// TestHMetisRejectsNegativeWeights: both parsers refuse a negative
+// hyperedge or vertex weight and name the record that carries it.
+func TestHMetisRejectsNegativeWeights(t *testing.T) {
+	for _, tc := range []struct {
+		doc, want string
+	}{
+		{"2 3 1\n1 1 2\n-3 2 3\n", "edge 1: negative weight -3"},
+		{"1 3 10\n1 2 3\n1\n-2\n4\n", "vertex 1: negative weight -2"},
+	} {
+		_, werr := ReadHMetis(strings.NewReader(tc.doc))
+		_, gerr := ReadHMetisStream(strings.NewReader(tc.doc))
+		for _, err := range []error{werr, gerr} {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%q: got %v, want an error naming %q", tc.doc, err, tc.want)
+			}
+		}
+	}
+}

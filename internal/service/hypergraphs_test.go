@@ -352,3 +352,40 @@ func TestJobsPagination(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeWeightsRejected: a document carrying a negative hyperedge or
+// vertex weight is malformed. Inline bodies get 400 and upload commits
+// 422, both invalid_request, like any other unparsable document.
+func TestNegativeWeightsRejected(t *testing.T) {
+	ts, _ := newTestServer(t, Config{Workers: 1})
+	c := client.New(ts.URL, ts.Client())
+	ctx := context.Background()
+	for _, doc := range []string{
+		"2 3 1\n1 1 2\n-3 2 3\n",    // hyperedge 1
+		"1 3 10\n1 2 3\n1\n-2\n4\n", // vertex 1
+	} {
+		_, err := c.Partition(ctx, hyperpraw.PartitionRequest{
+			Algorithm: "aware",
+			Machine:   hyperpraw.MachineSpec{Kind: "archer", Cores: 2},
+			HMetis:    doc,
+		})
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest ||
+			apiErr.Code != hyperpraw.ErrCodeInvalidRequest || !strings.Contains(apiErr.Message, "negative weight") {
+			t.Fatalf("inline %q: %v, want 400 %s naming the negative weight", doc, err, hyperpraw.ErrCodeInvalidRequest)
+		}
+
+		up, err := c.CreateHypergraphUpload(ctx, "negative")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.PutHypergraphPart(ctx, up.ID, 0, []byte(doc)); err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.CommitHypergraph(ctx, up.ID)
+		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusUnprocessableEntity ||
+			apiErr.Code != hyperpraw.ErrCodeInvalidRequest || !strings.Contains(apiErr.Message, "negative weight") {
+			t.Fatalf("commit %q: %v, want 422 %s naming the negative weight", doc, err, hyperpraw.ErrCodeInvalidRequest)
+		}
+	}
+}
