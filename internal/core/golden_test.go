@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -128,9 +129,16 @@ func goldenRunCases() []goldenRunCase {
 // twice, and both runs must match the recorded hash. Regenerate the file
 // with `go test ./internal/core -run TestRunResultsMatchGolden -update`
 // only for a change that is meant to alter results.
+//
+// The recorded hashes are amd64's. The Go spec lets a compiler fuse a
+// multiply and an add into one rounding, and the compiler does so on
+// arm64 and other targets but never on amd64, so float bits (and with
+// them ties between candidates) can differ there; on those targets the
+// test checks only that the two runs agree.
 func TestRunResultsMatchGolden(t *testing.T) {
+	compare := !*updateGolden && runtime.GOARCH == "amd64"
 	want := map[string]string{}
-	if !*updateGolden {
+	if compare {
 		f, err := os.Open(runHashesFile)
 		if err != nil {
 			t.Fatal(err)
@@ -167,7 +175,7 @@ func TestRunResultsMatchGolden(t *testing.T) {
 			t.Errorf("%s: first run hashed %s, second %s", tc.label, got[0], got[1])
 		}
 		lines = append(lines, tc.label+" "+got[0])
-		if !*updateGolden && want[tc.label] != got[0] {
+		if compare && want[tc.label] != got[0] {
 			t.Errorf("%s: hash %s, golden %s", tc.label, got[0], want[tc.label])
 		}
 	}
