@@ -35,24 +35,22 @@ import (
 //     partition j* visits comm-cheap blocks first and prunes the rest
 //     against the incumbent.
 //
-// Matrices without usable structure degrade explicitly: a single level
-// (uniform or featureless) or too many blocks selects the legacy scan
-// strategies instead. The index is immutable after construction and safe
-// to share: core.New accepts a prebuilt index via Config.Index so the
-// serving layer builds it once per cached Environment. A multi-worker
-// Partitioner additionally consumes blockOf as its work-ownership key: when
-// the matrix is blocked with at least one block per worker, each superstep
-// assigns whole blocks to workers so a vertex is streamed by the worker
-// owning its current block (see superstep.go).
+// Matrices without usable structure degrade explicitly: a uniform matrix
+// selects the single-heap scan, and a featureless one (a single level, or
+// too many blocks) the exhaustive scan. The index is immutable after
+// construction and safe to share: core.New accepts a prebuilt index via
+// Config.Index so the serving layer builds it once per cached
+// Environment. A multi-worker Partitioner additionally consumes blockOf as
+// its work-ownership key: when the matrix is blocked with at least one
+// block per worker, each superstep assigns whole blocks to workers so a
+// vertex is streamed by the worker owning its current block (see
+// superstep.go).
 type CostIndex struct {
 	p    int
 	kind costKind
 
 	// uniformC is the off-diagonal constant when kind == costUniform.
 	uniformC float64
-	// minOff is the smallest off-diagonal entry (scalar pruning bound for
-	// the legacy bounded scan).
-	minOff float64
 
 	// levels is the number of cost levels detected (1 for uniform,
 	// 2–3 for the synthetic tier matrices, a few for profiled machines).
@@ -97,9 +95,9 @@ const (
 	// costBlocked: hierarchical/low-rank structure detected; the tiered
 	// block walk of pickBlocked applies.
 	costBlocked
-	// costBounded: no usable structure; the legacy scalar-bound pruned
-	// scan (pickBounded) with its adaptive exhaustive fallback.
-	costBounded
+	// costUnstructured: no usable structure; every vertex takes the
+	// exhaustive scan (pickExhaustive).
+	costUnstructured
 )
 
 const (
@@ -113,7 +111,7 @@ const (
 	maxCostLevels = 32
 	// blockDetectBudgetFactor bounds block detection to this many
 	// element comparisons per matrix entry; genuinely blocky matrices
-	// mismatch far earlier, featureless ones abort to costBounded.
+	// mismatch far earlier, featureless ones abort to costUnstructured.
 	blockDetectBudgetFactor = 32
 	// vacuousFloor fills the undefined floor of a single-member block
 	// toward its own member: large enough that the bound always rejects
@@ -138,8 +136,8 @@ func maxBlocksFor(p int) int {
 // index through Config.Index.
 func BuildCostIndex(cost [][]float64) *CostIndex {
 	p := len(cost)
-	uniform, uniformC, minOff := costStructure(cost)
-	idx := &CostIndex{p: p, kind: costBounded, uniformC: uniformC, minOff: minOff, levels: 1}
+	uniform, uniformC := costStructure(cost)
+	idx := &CostIndex{p: p, kind: costUnstructured, uniformC: uniformC, levels: 1}
 	if p > 0 {
 		idx.sig = &cost[0][0]
 	}
@@ -151,7 +149,7 @@ func BuildCostIndex(cost [][]float64) *CostIndex {
 	boundaries, levels := costLevels(cost)
 	idx.levels = levels
 	if levels < 2 || levels > maxCostLevels {
-		return idx // featureless or noise-dominated: legacy bounded scan
+		return idx // featureless or noise-dominated: exhaustive scan
 	}
 	lvl := quantizeLevels(cost, boundaries)
 	blockOf, nblocks, ok := detectBlocks(lvl, p)
@@ -171,6 +169,26 @@ func BuildCostIndex(cost [][]float64) *CostIndex {
 	idx.floorsTo = buildBlockFloors(cost, idx.blocks)
 	idx.blockOrder = buildBlockOrder(idx.floorsTo, nblocks)
 	return idx
+}
+
+// costStructure reports whether every off-diagonal entry of the cost
+// matrix is one constant c (HyperPRAW-basic and the uniform benchmarks),
+// which the uniform touched-only scan needs.
+func costStructure(cost [][]float64) (uniform bool, c float64) {
+	first := true
+	for i, row := range cost {
+		for j, cij := range row {
+			if i == j {
+				continue
+			}
+			if first {
+				c, first = cij, false
+			} else if cij != c {
+				return false, c
+			}
+		}
+	}
+	return true, c
 }
 
 // matches reports whether the index was built from this exact matrix

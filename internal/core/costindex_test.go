@@ -12,8 +12,8 @@ func TestCostIndexClassifiesUniform(t *testing.T) {
 	if idx.kind != costUniform {
 		t.Fatalf("uniform matrix classified as %d", idx.kind)
 	}
-	if idx.uniformC != 1 || idx.minOff != 1 {
-		t.Fatalf("uniform constants %g/%g, want 1/1", idx.uniformC, idx.minOff)
+	if idx.uniformC != 1 {
+		t.Fatalf("uniform constant %g, want 1", idx.uniformC)
 	}
 }
 
@@ -60,28 +60,52 @@ func TestCostIndexClassifiesHierarchical(t *testing.T) {
 
 func TestCostIndexClassifiesUnstructured(t *testing.T) {
 	// A continuum of values has one level; few distinct values scattered
-	// without block structure explode the block count. Both must fall
-	// back to the legacy bounded strategy.
-	rng := stats.NewRNG(7)
-	p := 64
-	smooth := make([][]float64, p)
-	scattered := make([][]float64, p)
-	for i := range smooth {
-		smooth[i] = make([]float64, p)
-		scattered[i] = make([]float64, p)
-	}
-	vals := []float64{1, 1.5, 2}
-	for i := 0; i < p; i++ {
-		for j := i + 1; j < p; j++ {
-			v := 1 + rng.Float64()
-			smooth[i][j], smooth[j][i] = v, v
-			d := vals[rng.Intn(len(vals))]
-			scattered[i][j], scattered[j][i] = d, d
+	// without block structure explode the block count. Both must be
+	// classified unstructured, and a run on them must score every visit
+	// with the exhaustive scan: at p = 256, past the fast scans' cutoff,
+	// and at p = 64 with the fast scans forced on.
+	h := randomHG(5, 1000, 1300, 8)
+	for _, tc := range []struct {
+		p     int
+		force bool
+	}{{64, true}, {256, false}} {
+		rng := stats.NewRNG(7)
+		p := tc.p
+		smooth := make([][]float64, p)
+		scattered := make([][]float64, p)
+		for i := range smooth {
+			smooth[i] = make([]float64, p)
+			scattered[i] = make([]float64, p)
 		}
-	}
-	for name, cost := range map[string][][]float64{"smooth": smooth, "scattered": scattered} {
-		if idx := BuildCostIndex(cost); idx.kind != costBounded {
-			t.Fatalf("%s: classified as %d, want bounded", name, idx.kind)
+		vals := []float64{1, 1.5, 2}
+		for i := 0; i < p; i++ {
+			for j := i + 1; j < p; j++ {
+				v := 1 + rng.Float64()
+				smooth[i][j], smooth[j][i] = v, v
+				d := vals[rng.Intn(len(vals))]
+				scattered[i][j], scattered[j][i] = d, d
+			}
+		}
+		for name, cost := range map[string][][]float64{"smooth": smooth, "scattered": scattered} {
+			if idx := BuildCostIndex(cost); idx.kind != costUnstructured {
+				t.Fatalf("%s/p=%d: classified as %d, want unstructured", name, p, idx.kind)
+			}
+			cfg := DefaultConfig(cost)
+			cfg.MaxIterations = 3
+			cfg.forceTouchedOnly = tc.force
+			var ks StreamStats
+			cfg.Stats = &ks
+			pr, err := New(h, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr.Run()
+			pr.Release()
+			visits := ks.Passes * int64(h.NumVertices())
+			if ks.ScanExhaustive != visits || ks.ScanBounded != 0 || ks.ExhaustiveFallbacks != 0 {
+				t.Fatalf("%s/p=%d: %d visits recorded %+v, want every one exhaustive without fallback",
+					name, p, visits, ks)
+			}
 		}
 	}
 }

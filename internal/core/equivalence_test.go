@@ -204,8 +204,9 @@ func TestTieredMatchesExhaustiveHierarchical(t *testing.T) {
 // TestTieredMatchesExhaustiveFewDistinct drives matrices that have few
 // distinct values but no block structure (each entry drawn at random from
 // a three-value set, symmetrised): the index must classify them as
-// unstructured and the legacy pruned scan must stay move-for-move exact
-// through the massive cross-candidate ties.
+// unstructured, which the exhaustive scan serves even with the fast scans
+// forced on, so the run stays move-for-move exact through the massive
+// cross-candidate ties.
 func TestTieredMatchesExhaustiveFewDistinct(t *testing.T) {
 	vals := []float64{1, 1.5, 2}
 	for _, p := range []int{8, 24} {

@@ -12,17 +12,12 @@ import (
 // index traffic. Warm passes on catalog instances put the uniform scan's
 // break-even at 32 (see README, Performance); the blocked (cost-tier) scan
 // pays O(B) per vertex for the block walk, so it amortises at the same
-// small p. The scalar-bound pruned scan for unstructured matrices
-// (pickBounded) pays several heap pops per vertex and needs a larger p.
-const (
-	fastScanMinPartitions    = 32
-	boundedScanMinPartitions = 128
-)
+// small p.
+const fastScanMinPartitions = 32
 
-// boundMargin is the relative slack added to the untouched-candidate upper
-// bound of the pruned scan (pickBounded), so floating-point rounding can
-// only make the scan examine more candidates than strictly necessary, never
-// fewer.
+// boundMargin is the relative slack added to the fast scans' value upper
+// bounds, so floating-point rounding can only make a scan score more
+// candidates than strictly necessary, never fewer.
 const boundMargin = 1e-9
 
 // kernel is the streaming kernel every worker runs: the candidate pickers,
@@ -83,18 +78,14 @@ func (k *kernel) setup(h *hypergraph.Hypergraph, cfg *Config, cidx *CostIndex, s
 }
 
 // fastScanEligible decides whether the touched-only scan can beat the
-// exhaustive one for this (cost structure, p) pair.
+// exhaustive one for this (cost structure, p) pair. A matrix without
+// uniform or block structure has no fast scan: it is always scanned
+// exhaustively.
 func fastScanEligible(cfg Config, cidx *CostIndex, p int) bool {
-	if cfg.forceExhaustive || p <= 1 {
+	if cfg.forceExhaustive || p <= 1 || cidx.kind == costUnstructured {
 		return false
 	}
-	if cfg.forceTouchedOnly {
-		return true
-	}
-	if cidx.kind == costBounded {
-		return p >= boundedScanMinPartitions
-	}
-	return p >= fastScanMinPartitions
+	return cfg.forceTouchedOnly || p >= fastScanMinPartitions
 }
 
 // beginStream prepares one stream's scan state. The fast scans need α > 0
@@ -108,10 +99,10 @@ func (k *kernel) beginStream(alpha float64, expected []float64) {
 	k.reseed(expected)
 }
 
-// reseed rebuilds the fast scans' load caches from loads: the global
-// min-load heap of the uniform and bounded scans, or the blocked scan's
-// flat per-block argmins, all marked stale. It does nothing while the
-// exhaustive scan runs.
+// reseed rebuilds the fast scans' load caches from loads: the uniform
+// scan's global min-load heap, or the blocked scan's flat per-block
+// argmins, all marked stale. It does nothing while the exhaustive scan
+// runs.
 func (k *kernel) reseed(expected []float64) {
 	if !k.fast || k.scanOff {
 		return
@@ -130,10 +121,9 @@ func (k *kernel) reseed(expected []float64) {
 //
 // Candidate scoring dispatches on the cost-tier index's classification of
 // the matrix: uniform → pickUniform (single heap pop), blocked
-// (hierarchical) → pickBlocked (tiered block walk), unstructured →
-// pickBounded (scalar-bound pruned scan). Every fast scan is move-for-move
-// identical to the exhaustive O(p) reference (pickExhaustive) but costs
-// far less per vertex.
+// (hierarchical) → pickBlocked (tiered block walk), unstructured → the
+// exhaustive O(p) reference (pickExhaustive). Every fast scan is
+// move-for-move identical to the reference but costs far less per vertex.
 func (k *kernel) pick(cur int32, penalty, alpha float64, expected []float64) int32 {
 	t := &k.tally
 	switch {
@@ -146,7 +136,7 @@ func (k *kernel) pick(cur int32, penalty, alpha float64, expected []float64) int
 	case k.cidx.kind == costUniform:
 		t.ScanUniform++
 		return k.pickUniform(cur, penalty, alpha, expected)
-	case k.cidx.kind == costBlocked:
+	default:
 		best, work := k.pickBlocked(cur, penalty, alpha, expected)
 		t.ScanBlocked++
 		t.BlockedWork += int64(work)
@@ -157,20 +147,6 @@ func (k *kernel) pick(cur int32, penalty, alpha float64, expected []float64) int
 		// the heap traffic for the rest of this stream. The next stream
 		// re-evaluates.
 		if k.scanTried >= 128 && k.scanWork > k.scanTried*(len(k.cidx.blocks)+k.p/2) {
-			k.scanOff = true
-		}
-		return best
-	default:
-		best, pops := k.pickBounded(cur, penalty, alpha, expected)
-		t.ScanBounded++
-		t.BoundedPops += int64(pops)
-		k.scanTried++
-		k.scanWork += pops
-		// The pruned scan only beats the exhaustive one when the load bound
-		// closes almost immediately; once the observed pop work says
-		// otherwise (α decayed, loads equalised), stop paying the heap
-		// traffic for the rest of this stream.
-		if k.scanTried >= 128 && k.scanWork > 3*k.scanTried {
 			k.scanOff = true
 		}
 		return best
@@ -204,36 +180,53 @@ func (k *kernel) takeTally() StreamStats {
 	return t
 }
 
+// value is eq. 1 for candidate partition i of the vertex whose neighbour
+// counts were just gathered, V_i(v) = −N_i(v)·T_i(v) − α·W(i)/E(i), less
+// the migration penalty when i is not the vertex's current partition cur.
+// ni is N_i(v) normalised by p and t is T_i(v). Every picker scores its
+// candidates here, which is what makes their picks bitwise comparable.
+func (k *kernel) value(i, cur int32, ni, t, penalty, alpha float64, expected []float64) float64 {
+	val := -ni*t - alpha*float64(k.loads[i])/expected[i]
+	if penalty > 0 && i != cur {
+		val -= penalty
+	}
+	return val
+}
+
+// comm is T_i(v) = Σ_j X_j(v)·C(i,j), read from cost row i in touched
+// order; C(i,i) = 0 makes a touched i's own term a bitwise no-op.
+func (k *kernel) comm(i int32) float64 {
+	sc := k.sc
+	row := k.cost[i]
+	t := 0.0
+	for _, j := range sc.touched {
+		t += sc.xCounts[j] * row[j]
+	}
+	return t
+}
+
 // pickExhaustive scores every partition: the original O(p) kernel and the
-// reference that the touched-only scans must match move for move. It
-// applies the migration term as written, for any nonzero penalty.
+// reference that the touched-only scans must match move for move.
 func (k *kernel) pickExhaustive(cur int32, penalty, alpha float64, expected []float64) int32 {
 	sc := k.sc
-	p := k.p
+	p := float64(k.p)
 
 	// Number of partitions holding neighbours of v; A_i(v) per eq 3.
+	// N_i(v) counts those other than i, normalised by p.
 	nbrParts := float64(len(sc.touched))
+	niU := nbrParts / p
+	niT := (nbrParts - 1) / p
 
 	bestPart := int32(0)
 	bestVal := math.Inf(-1)
-	for i := 0; i < p; i++ {
-		// T_i(v) = Σ_j X_j(v)·C(i,j); C(i,i)=0 removes the self term.
-		t := 0.0
-		ci := k.cost[i]
-		for _, j := range sc.touched {
-			t += sc.xCounts[j] * ci[j]
-		}
-		// N_i(v): neighbour partitions other than i, normalised by p.
-		ni := nbrParts
+	// An int counter, not int32: indexing with an int32 keeps a widened
+	// copy live across comm's loop, which then spills its own counter.
+	for i := 0; i < k.p; i++ {
+		ni := niU
 		if sc.pstamp[i] == sc.epoch {
-			ni-- // v has neighbours in i itself; those don't count
+			ni = niT // v has neighbours in i itself; those don't count
 		}
-		ni /= float64(p)
-
-		val := -ni*t - alpha*float64(k.loads[i])/expected[i]
-		if penalty != 0 && int32(i) != cur {
-			val -= penalty
-		}
+		val := k.value(int32(i), cur, ni, k.comm(int32(i)), penalty, alpha, expected)
 		if val > bestVal || (val == bestVal && int32(i) == cur) {
 			bestVal = val
 			bestPart = int32(i)
@@ -323,24 +316,15 @@ func (k *kernel) pickUniform(cur int32, penalty, alpha float64, expected []float
 				t += sc.xCounts[j] * c
 			}
 		}
-		val := -niT*t - alpha*float64(k.loads[i])/expected[i]
-		if penalty > 0 && i != cur {
-			val -= penalty
-		}
-		considerCandidate(&bestVal, &bestPart, i, cur, val)
+		considerCandidate(&bestVal, &bestPart, i, cur, k.value(i, cur, niT, t, penalty, alpha, expected))
 	}
 	if e, ok := sc.minIdx.popBestUntouched(k.untouchedFn); ok {
-		val := -niU*tU - alpha*float64(k.loads[e.idx])/expected[e.idx]
-		if penalty > 0 && e.idx != cur {
-			val -= penalty
-		}
-		considerCandidate(&bestVal, &bestPart, e.idx, cur, val)
+		considerCandidate(&bestVal, &bestPart, e.idx, cur, k.value(e.idx, cur, niU, tU, penalty, alpha, expected))
 	}
 	sc.minIdx.restore()
 	curTouched := sc.pstamp[cur] == sc.epoch
 	if !curTouched {
-		val := -niU*tU - alpha*float64(k.loads[cur])/expected[cur]
-		considerCandidate(&bestVal, &bestPart, cur, cur, val)
+		considerCandidate(&bestVal, &bestPart, cur, cur, k.value(cur, cur, niU, tU, penalty, alpha, expected))
 	}
 	if len(sc.touched) == 0 {
 		return bestPart
@@ -363,93 +347,6 @@ func (k *kernel) pickUniform(cur int32, penalty, alpha float64, expected []float
 	return bestPart
 }
 
-// pickBounded is the touched-only scan for general cost matrices (the
-// profiled HyperPRAW-aware case). Touched partitions and the current one are
-// scored exactly; untouched candidates are drawn from the min-load index in
-// ascending W(i)/E(i) order and scored exactly until an upper bound on every
-// remaining candidate — communication no cheaper than the smallest off-
-// diagonal entry allows, load no lighter than the next candidate's — falls
-// below the best value seen. The bound discriminates whenever the α-weighted
-// load spread exceeds the communication-term spread (the tempering phase,
-// and refinement on unbalanced loads); when it cannot (α decayed and loads
-// equalised), the pop budget trips and the vertex falls back to the
-// exhaustive scan, bounding the overhead at a fraction of the O(p) cost
-// instead of letting the heap churn exceed it. pops reports the candidates
-// examined, so the stream can stop trying once pop work dominates.
-func (k *kernel) pickBounded(cur int32, penalty, alpha float64, expected []float64) (best int32, pops int) {
-	sc := k.sc
-	p := float64(k.p)
-	nbrParts := float64(len(sc.touched))
-	// Σ_j X_j(v): any candidate's communication term is ≥ minOff times this.
-	sumX := 0.0
-	for _, j := range sc.touched {
-		sumX += sc.xCounts[j]
-	}
-	loS := k.cidx.minOff * sumX
-	niU := nbrParts / p
-
-	bestPart := int32(-1)
-	bestVal := math.Inf(-1)
-	score := func(i int32, isTouched bool) {
-		t := 0.0
-		ci := k.cost[i]
-		for _, j := range sc.touched {
-			t += sc.xCounts[j] * ci[j]
-		}
-		ni := nbrParts
-		if isTouched {
-			ni--
-		}
-		ni /= p
-		val := -ni*t - alpha*float64(k.loads[i])/expected[i]
-		if penalty > 0 && i != cur {
-			val -= penalty
-		}
-		considerCandidate(&bestVal, &bestPart, i, cur, val)
-	}
-	for _, i := range sc.touched {
-		score(i, true)
-	}
-	if sc.pstamp[cur] != sc.epoch {
-		score(cur, false)
-	}
-	budget := boundedPopBudget(k.p)
-	for ; budget > 0; budget-- {
-		e, ok := sc.minIdx.popBestUntouched(k.untouchedFn)
-		if !ok {
-			break
-		}
-		pops++
-		// Upper bound for e and everything after it (larger W/E); inflated
-		// so rounding can only widen the scan, never cut a winner.
-		ub := -niU*loS - alpha*e.q
-		ub += boundMargin * (math.Abs(ub) + 1)
-		if ub < bestVal {
-			break
-		}
-		score(e.idx, false)
-	}
-	sc.minIdx.restore()
-	if budget == 0 {
-		// The bound is not pruning on this vertex; the exhaustive reference
-		// costs less than draining the heap and returns the identical pick.
-		k.tally.ExhaustiveFallbacks++
-		return k.pickExhaustive(cur, penalty, alpha, expected), pops
-	}
-	return bestPart, pops
-}
-
-// boundedPopBudget is how many untouched candidates pickBounded examines
-// before conceding that the load bound is not pruning and handing the vertex
-// to the exhaustive scan.
-func boundedPopBudget(p int) int {
-	b := p / 8
-	if b < 8 {
-		b = 8
-	}
-	return b
-}
-
 // pickBlocked is the tiered touched-only scan for hierarchical (blocked)
 // cost matrices, the profiled HyperPRAW-aware case the CostIndex was built
 // for. Every block's floor sum Σ_j X_j·floorsTo[j][b] is precomputed in
@@ -462,8 +359,8 @@ func boundedPopBudget(p int) int {
 // are walked block by block in ascending communication floor relative to
 // j*. A block is rejected in O(1) when even (floor comm, exact min member
 // load) cannot beat the incumbent — the floor sums are tight to
-// within-block noise, which is what the scalar min(C)·ΣX bound of
-// pickBounded cannot offer; a surviving block scores members in ascending
+// within-block noise, where a scalar min(C)·ΣX bound would slack by the
+// full tier spread; a surviving block scores members in ascending
 // (W(i)/E(i), i) until the same bound closes. For an exact block the floor
 // sum IS every member's communication term, so the first member scored
 // (the block's lowest-(load, index) one, which dominates its siblings
@@ -515,33 +412,18 @@ func (k *kernel) pickBlocked(cur int32, penalty, alpha float64, expected []float
 
 	bestPart := int32(-1)
 	bestVal := math.Inf(-1)
-	score := func(i int32, isTouched bool, tExact float64, haveT bool) {
-		t := tExact
-		if !haveT {
-			t = 0.0
-			row := k.cost[i]
-			for _, j := range sc.touched {
-				t += sc.xCounts[j] * row[j]
-			}
-		}
-		ni := nbrParts
-		if isTouched {
-			ni--
-		}
-		ni /= p
-		val := -ni*t - alpha*float64(k.loads[i])/expected[i]
-		if penalty > 0 && i != cur {
-			val -= penalty
-		}
+	score := func(i int32, ni, t float64) {
 		sc.sstamp[i] = epoch
-		considerCandidate(&bestVal, &bestPart, i, cur, val)
+		considerCandidate(&bestVal, &bestPart, i, cur, k.value(i, cur, ni, t, penalty, alpha, expected))
 	}
 	if len(sc.touched) > 0 {
-		score(jstar, true, 0, false)
+		score(jstar, niT, k.comm(jstar))
 	}
-	curTouched := sc.pstamp[cur] == epoch
-	if !curTouched || cur != jstar {
-		score(cur, curTouched, 0, false)
+	switch {
+	case sc.pstamp[cur] != epoch:
+		score(cur, niU, k.comm(cur))
+	case cur != jstar:
+		score(cur, niT, k.comm(cur))
 	}
 
 	// Refresh stale block minima and find the champion block — the one
@@ -563,10 +445,10 @@ func (k *kernel) pickBlocked(cur int32, penalty, alpha float64, expected []float
 		// The champion's cached argmin is usually still available (only
 		// touched/current partitions are scored so far) — no scan needed.
 		if i := sc.blockMinIdx[champ]; sc.pstamp[i] != epoch && sc.sstamp[i] != epoch {
-			score(i, false, 0, false)
+			score(i, niU, k.comm(i))
 		} else if i, _, ok := k.minAvailableInBlock(champ, expected); ok {
 			work++
-			score(i, false, 0, false)
+			score(i, niU, k.comm(i))
 		}
 	}
 
@@ -580,7 +462,7 @@ func (k *kernel) pickBlocked(cur int32, penalty, alpha float64, expected []float
 			k.tally.TouchedPruned++
 			continue
 		}
-		score(i, true, 0, false)
+		score(i, niT, k.comm(i))
 	}
 
 	for _, b := range ci.blockOrder[jstar] {
@@ -622,7 +504,11 @@ func (k *kernel) pickBlocked(cur int32, penalty, alpha float64, expected []float
 			if ub < bestVal {
 				break
 			}
-			score(i, false, tLB, exact)
+			t := tLB
+			if !exact {
+				t = k.comm(i)
+			}
+			score(i, niU, t)
 			if exact {
 				// Exact block: every sibling shares this T_i, so the
 				// lowest-(load, index) member just scored dominates them

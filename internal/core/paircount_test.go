@@ -55,8 +55,8 @@ func samePairs(got *pairCounts, want []int64) error {
 }
 
 // fewDistinctCost is a symmetric matrix drawn from three values with no
-// block structure, which the cost index classifies as unstructured (the
-// pickBounded strategy).
+// block structure, which the cost index classifies as unstructured (so it
+// is scanned exhaustively).
 func fewDistinctCost(p int, seed uint64) [][]float64 {
 	vals := []float64{1, 1.5, 2}
 	rng := stats.NewRNG(seed ^ 0xfd)

@@ -380,34 +380,6 @@ func (pr *Partitioner) Release() {
 	pr.pool, pr.sc = nil, nil
 }
 
-// costStructure classifies the cost matrix for the touched-only scan:
-// whether every off-diagonal entry is one constant (HyperPRAW-basic and the
-// uniform benchmarks), and the smallest off-diagonal entry, which lower-
-// bounds any candidate's communication term in the pruned scan.
-func costStructure(cost [][]float64) (uniform bool, uniformC, minOff float64) {
-	uniform = true
-	first := true
-	for i, row := range cost {
-		for j, c := range row {
-			if i == j {
-				continue
-			}
-			if first {
-				uniformC, minOff = c, c
-				first = false
-				continue
-			}
-			if c != uniformC {
-				uniform = false
-			}
-			if c < minOff {
-				minOff = c
-			}
-		}
-	}
-	return uniform, uniformC, minOff
-}
-
 // FennelAlpha returns the FENNEL starting value sqrt(p)·|E|/sqrt(|V|)
 // (Tsourakakis et al., adopted by the paper in §4).
 func FennelAlpha(p, numEdges, numVertices int) float64 {

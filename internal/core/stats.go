@@ -22,23 +22,22 @@ type StreamStats struct {
 
 	// Per-strategy vertex counts: which scan scored each visited vertex.
 	// ScanExhaustive counts the O(p) reference scan — both its baseline
-	// uses (small p, α ≤ 0) and pruning fallbacks.
+	// uses (small p, α ≤ 0, matrices without uniform or block structure)
+	// and pruning fallbacks. ScanBounded is always 0: it counted a
+	// scalar-bound scan for unstructured matrices that has been removed,
+	// and stays because the benchmark in perfbench/ reads it.
 	ScanExhaustive int64 `json:"scan_exhaustive,omitempty"`
 	ScanUniform    int64 `json:"scan_uniform,omitempty"`
 	ScanBounded    int64 `json:"scan_bounded,omitempty"`
 	ScanBlocked    int64 `json:"scan_blocked,omitempty"`
 
 	// ExhaustiveFallbacks counts vertices where a fast scan was eligible
-	// but gave up — the adaptive per-stream kill switch tripped, or
-	// pickBounded exhausted its pop budget — and the exhaustive reference
-	// ran instead. A high ratio of fallbacks to fast scans means the
-	// cost-tier index has stopped pruning.
+	// but the adaptive per-stream kill switch had tripped, so the
+	// exhaustive reference ran instead. A high ratio of fallbacks to fast
+	// scans means the cost-tier index has stopped pruning.
 	ExhaustiveFallbacks int64 `json:"exhaustive_fallbacks,omitempty"`
 
-	// BoundedPops is the total untouched candidates examined by the
-	// scalar-bound scan; BlockedWork the tiered scan's cost in exhaustive-
-	// candidate units.
-	BoundedPops int64 `json:"bounded_pops,omitempty"`
+	// BlockedWork is the tiered scan's cost in exhaustive-candidate units.
 	BlockedWork int64 `json:"blocked_work,omitempty"`
 	// BlockRejections counts cost-tier blocks dismissed by the O(1) floor
 	// bound; ExactSettles counts blocks settled by scoring a single member.
@@ -61,7 +60,6 @@ func (s *StreamStats) Add(o StreamStats) {
 	s.ScanBounded += o.ScanBounded
 	s.ScanBlocked += o.ScanBlocked
 	s.ExhaustiveFallbacks += o.ExhaustiveFallbacks
-	s.BoundedPops += o.BoundedPops
 	s.BlockedWork += o.BlockedWork
 	s.BlockRejections += o.BlockRejections
 	s.ExactSettles += o.ExactSettles

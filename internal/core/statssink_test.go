@@ -100,7 +100,6 @@ func TestStatsSinkAccumulates(t *testing.T) {
 		ScanBounded:         2 * single.ScanBounded,
 		ScanBlocked:         2 * single.ScanBlocked,
 		ExhaustiveFallbacks: 2 * single.ExhaustiveFallbacks,
-		BoundedPops:         2 * single.BoundedPops,
 		BlockedWork:         2 * single.BlockedWork,
 		BlockRejections:     2 * single.BlockRejections,
 		ExactSettles:        2 * single.ExactSettles,

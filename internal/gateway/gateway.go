@@ -197,22 +197,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// backend pairs one membership record with the HTTP client that dials it.
-// Wrappers are built on the fly from a membership snapshot — the Member is
-// the live shared record, the wrapper just keeps the call sites terse.
-type backend struct {
-	url string
-	cli *client.Client
-	m   *membership.Member
-}
-
-func (b *backend) status() (healthy bool, fails int, durable bool) { return b.m.Status() }
-func (b *backend) markDown()                                       { b.m.MarkDown() }
-func (b *backend) markUp()                                         { b.m.MarkUp() }
-func (b *backend) markUpDurable(durable bool)                      { b.m.MarkUpDurable(durable) }
-func (b *backend) markSaturated(retryAfter int)                    { b.m.MarkSaturated(retryAfter) }
-func (b *backend) loadStatus() (saturated bool, queued int)        { return b.m.LoadStatus() }
-
 // gwJob is the gateway-side state of one routed job. The original wire
 // request is retained until the job reaches a terminal state so a failover
 // can resubmit it verbatim to another backend.
@@ -347,7 +331,10 @@ func New(cfg Config) *Gateway {
 	})
 	g.metrics = newGatewayMetrics(cfg.Metrics, g)
 	for _, url := range cfg.Backends {
-		g.AddBackend(url)
+		// A static seed: it starts healthy and never lease-expires.
+		if g.members.Add(url) {
+			g.metrics.breakerInit(url)
+		}
 	}
 	if cfg.HealthInterval > 0 {
 		g.wg.Add(1)
@@ -373,25 +360,6 @@ func (g *Gateway) clientFor(url string) *client.Client {
 	}
 	c, _ := g.clients.LoadOrStore(url, client.New(url, g.cfg.HTTPClient))
 	return c.(*client.Client)
-}
-
-func (g *Gateway) wrap(m *membership.Member) *backend {
-	return &backend{url: m.URL, cli: g.clientFor(m.URL), m: m}
-}
-
-// AddBackend seeds (or re-seeds) a static member by base URL; it starts
-// healthy and never lease-expires.
-func (g *Gateway) AddBackend(url string) {
-	if g.members.Add(url) {
-		g.metrics.breakerInit(url)
-	}
-}
-
-// RemoveBackend drops a backend from the routing set without draining it.
-// Jobs currently routed to it fail over on their next status or result
-// poll.
-func (g *Gateway) RemoveBackend(url string) {
-	g.members.Remove(url)
 }
 
 // RegisterMember records (or lease-renews) an announced member. hpserve
@@ -585,7 +553,7 @@ func RendezvousOrder(members []string, key string) []string {
 // whether that primary was demoted out of the first slot because it is
 // saturated (the spill case, as opposed to plain ejection).
 type routePlan struct {
-	cands   []*backend
+	cands   []*membership.Member
 	primary string
 	spilled bool
 }
@@ -600,19 +568,18 @@ type routePlan struct {
 func (g *Gateway) route(fingerprint string) routePlan {
 	snap := g.members.Snapshot()
 	ranked := RendezvousOrder(snap.URLs(), fingerprint)
-	plan := routePlan{cands: make([]*backend, 0, len(ranked))}
+	plan := routePlan{cands: make([]*membership.Member, 0, len(ranked))}
 	if len(ranked) > 0 {
 		plan.primary = ranked[0]
 	}
-	var saturated, down []*backend
+	var saturated, down []*membership.Member
 	for i, url := range ranked {
-		m, ok := snap.Get(url)
+		b, ok := snap.Get(url)
 		if !ok {
 			continue
 		}
-		b := g.wrap(m)
-		healthy, _, _ := b.status()
-		sat, _ := b.loadStatus()
+		healthy, _, _ := b.Status()
+		sat, _ := b.LoadStatus()
 		switch {
 		case healthy && !sat:
 			plan.cands = append(plan.cands, b)
@@ -637,8 +604,8 @@ func (g *Gateway) route(fingerprint string) routePlan {
 // recomputation. Only outages younger than RecoveryWindow qualify; beyond
 // it the backend is presumed gone for good and failover proceeds as for
 // any other loss.
-func (g *Gateway) recoverable(b *backend) bool {
-	ok := b.m.Recoverable(g.cfg.RecoveryWindow)
+func (g *Gateway) recoverable(b *membership.Member) bool {
+	ok := b.Recoverable(g.cfg.RecoveryWindow)
 	if ok {
 		g.metrics.recoveryWaits.Inc()
 	}
@@ -715,7 +682,7 @@ func (g *Gateway) Submit(ctx context.Context, wire hyperpraw.PartitionRequest) (
 	allSaturated := len(plan.cands) > 0
 	retryHint := 0
 	for _, b := range plan.cands {
-		info, err := g.submitWithGraph(ctx, b, wire)
+		info, err := g.submitWithGraph(ctx, b.URL, wire)
 		if err != nil {
 			if ctx.Err() != nil {
 				return hyperpraw.JobInfo{}, ctx.Err()
@@ -734,22 +701,22 @@ func (g *Gateway) Submit(ctx context.Context, wire hyperpraw.PartitionRequest) (
 			if hint, ok := rejected429(err); ok {
 				// The backend is alive but full: mark it saturated (sticky
 				// until the next probe) instead of ejecting it.
-				b.markSaturated(hint)
+				b.MarkSaturated(hint)
 				if hint > retryHint {
 					retryHint = hint
 				}
 			} else {
 				allSaturated = false
 				if backendDown(err) {
-					b.markDown()
+					b.MarkDown()
 				}
 			}
 			lastErr = err
 			continue
 		}
-		b.markUp()
+		b.MarkUp()
 		g.metrics.jobsSubmitted.Inc()
-		if b.url != plan.primary {
+		if b.URL != plan.primary {
 			// The rendezvous primary did not take it; the caches this
 			// fingerprint warmed live elsewhere.
 			g.metrics.reroutes.Inc()
@@ -758,7 +725,7 @@ func (g *Gateway) Submit(ctx context.Context, wire hyperpraw.PartitionRequest) (
 				g.metrics.spills.Inc()
 			}
 		}
-		return g.register(wire, fingerprint, resultKey, b.url, info, telemetry.TraceFrom(ctx)), nil
+		return g.register(wire, fingerprint, resultKey, b.URL, info, telemetry.TraceFrom(ctx)), nil
 	}
 	if allSaturated {
 		// Every backend refused with 429: shed upstream with the fleet's
@@ -785,20 +752,20 @@ func rejected429(err error) (retryAfter int, ok bool) {
 	return 0, false
 }
 
-// submitTo submits wire to one backend under the proxy deadline.
-func (g *Gateway) submitTo(ctx context.Context, b *backend, wire hyperpraw.PartitionRequest) (hyperpraw.JobInfo, error) {
+// submitTo submits wire to the backend at url under the proxy deadline.
+func (g *Gateway) submitTo(ctx context.Context, url string, wire hyperpraw.PartitionRequest) (hyperpraw.JobInfo, error) {
 	if f := faultpoint.Fire(faultpoint.GatewayProxyDrop); f != nil {
 		// Simulated transport loss on the proxied call: retryable, and it
 		// indicts the backend exactly like a real connection failure.
-		err := fmt.Errorf("gateway: faultpoint %s: proxied submit to %s dropped", f.Name, b.url)
-		g.metrics.backendRequest(b.url, "submit", err, 0)
+		err := fmt.Errorf("gateway: faultpoint %s: proxied submit to %s dropped", f.Name, url)
+		g.metrics.backendRequest(url, "submit", err, 0)
 		return hyperpraw.JobInfo{}, err
 	}
 	callCtx, cancel := context.WithTimeout(ctx, g.cfg.ProxyTimeout)
 	defer cancel()
 	start := time.Now()
-	info, err := b.cli.Submit(callCtx, wire)
-	g.metrics.backendRequest(b.url, "submit", err, time.Since(start))
+	info, err := g.clientFor(url).Submit(callCtx, wire)
+	g.metrics.backendRequest(url, "submit", err, time.Since(start))
 	return info, err
 }
 
@@ -910,14 +877,6 @@ func (g *Gateway) job(id string) (*gwJob, bool) {
 	return j, ok
 }
 
-func (g *Gateway) backendFor(url string) (*backend, bool) {
-	m, ok := g.members.Get(url)
-	if !ok {
-		return nil, false
-	}
-	return g.wrap(m), true
-}
-
 // Jobs lists the gateway's jobs (last known info) in submission order.
 func (g *Gateway) Jobs() []hyperpraw.JobInfo {
 	g.mu.Lock()
@@ -980,15 +939,15 @@ func (g *Gateway) Job(ctx context.Context, id string) (hyperpraw.JobInfo, error)
 	if j.terminal.Load() {
 		return j.info, nil
 	}
-	b, ok := g.backendFor(j.backendURL)
+	b, ok := g.members.Get(j.backendURL)
 	if ok {
 		callCtx, cancel := context.WithTimeout(telemetry.WithTrace(ctx, j.info.Trace), g.cfg.ProxyTimeout)
 		start := time.Now()
-		info, err := b.cli.Job(callCtx, j.backendID)
+		info, err := g.clientFor(b.URL).Job(callCtx, j.backendID)
 		cancel()
-		g.metrics.backendRequest(b.url, "job", err, time.Since(start))
+		g.metrics.backendRequest(b.URL, "job", err, time.Since(start))
 		if err == nil {
-			b.markUp()
+			b.MarkUp()
 			g.mergeInfoLocked(j, info)
 			return j.info, nil
 		}
@@ -999,7 +958,7 @@ func (g *Gateway) Job(ctx context.Context, id string) (hyperpraw.JobInfo, error)
 			return j.info, err
 		}
 		if backendDown(err) {
-			b.markDown()
+			b.MarkDown()
 		}
 		if g.recoverable(b) {
 			// A restarting durable backend recovers this job; report its
@@ -1047,16 +1006,16 @@ func (g *Gateway) Result(ctx context.Context, id string) (*hyperpraw.JobResult, 
 			return &res, j.info, nil
 		}
 	}
-	b, ok := g.backendFor(j.backendURL)
+	b, ok := g.members.Get(j.backendURL)
 	if ok {
 		callCtx, cancel := context.WithTimeout(telemetry.WithTrace(ctx, j.info.Trace), g.cfg.ProxyTimeout)
 		start := time.Now()
-		res, err := b.cli.Result(callCtx, j.backendID)
+		res, err := g.clientFor(b.URL).Result(callCtx, j.backendID)
 		cancel()
-		g.metrics.backendRequest(b.url, "result", err, time.Since(start))
+		g.metrics.backendRequest(b.URL, "result", err, time.Since(start))
 		switch {
 		case err == nil:
-			b.markUp()
+			b.MarkUp()
 			g.markTerminal(j, hyperpraw.JobDone)
 			j.info.Status = hyperpraw.JobDone
 			j.info.Error = ""
@@ -1066,12 +1025,12 @@ func (g *Gateway) Result(ctx context.Context, id string) (*hyperpraw.JobResult, 
 			}
 			return res, j.info, nil
 		case errors.Is(err, client.ErrNotDone):
-			b.markUp()
+			b.MarkUp()
 			return nil, j.info, nil
 		case ctx.Err() != nil:
 			return nil, j.info, ctx.Err()
 		case isJobFailed(err):
-			b.markUp()
+			b.MarkUp()
 			g.markTerminal(j, hyperpraw.JobFailed)
 			j.info.Status = hyperpraw.JobFailed
 			j.info.Error = err.Error()
@@ -1081,7 +1040,7 @@ func (g *Gateway) Result(ctx context.Context, id string) (*hyperpraw.JobResult, 
 			return nil, j.info, err
 		}
 		if backendDown(err) {
-			b.markDown()
+			b.MarkDown()
 		}
 		if g.recoverable(b) {
 			// Pending until the durable backend restarts; its store will
@@ -1132,10 +1091,10 @@ func (g *Gateway) failoverLocked(ctx context.Context, j *gwJob) error {
 	ctx = telemetry.WithTrace(ctx, j.info.Trace)
 	var lastErr error = ErrNoBackends
 	for _, b := range g.route(j.fingerprint).cands {
-		if b.url == j.backendURL {
+		if b.URL == j.backendURL {
 			continue // the backend we just lost
 		}
-		info, err := g.submitWithGraph(ctx, b, j.wire)
+		info, err := g.submitWithGraph(ctx, b.URL, j.wire)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -1150,17 +1109,17 @@ func (g *Gateway) failoverLocked(ctx context.Context, j *gwJob) error {
 				return fail(err)
 			}
 			if hint, ok := rejected429(err); ok {
-				b.markSaturated(hint)
+				b.MarkSaturated(hint)
 			} else if backendDown(err) {
-				b.markDown()
+				b.MarkDown()
 			}
 			lastErr = err
 			continue
 		}
-		b.markUp()
+		b.MarkUp()
 		j.failovers++
 		g.metrics.failovers.Inc()
-		j.backendURL = b.url
+		j.backendURL = b.URL
 		j.backendID = info.ID
 		g.mergeInfoLocked(j, info)
 		return nil
@@ -1260,9 +1219,9 @@ func (g *Gateway) StreamEvents(ctx context.Context, id string, after int, emit f
 		trace := j.info.Trace
 		j.mu.Unlock()
 
-		if b, ok := g.backendFor(backendURL); ok {
+		if b, ok := g.members.Get(backendURL); ok {
 			emitFailed := false
-			streamErr := b.cli.StreamProgress(telemetry.WithTrace(ctx, trace), backendID, lastSeq, func(ev hyperpraw.ProgressEvent) error {
+			streamErr := g.clientFor(b.URL).StreamProgress(telemetry.WithTrace(ctx, trace), backendID, lastSeq, func(ev hyperpraw.ProgressEvent) error {
 				if ev.Seq > lastSeq {
 					lastSeq = ev.Seq
 				}
@@ -1303,7 +1262,7 @@ func (g *Gateway) StreamEvents(ctx context.Context, id string, after int, emit f
 			// node really is down the failed resubmission or the next
 			// health probe will eject it.
 			if !ended && backendDown(streamErr) {
-				b.markDown()
+				b.MarkDown()
 			}
 			if ended {
 				// A clean EOF without a final frame is equally a dying
@@ -1312,10 +1271,10 @@ func (g *Gateway) StreamEvents(ctx context.Context, id string, after int, emit f
 				// so the recovery window can engage for the former
 				// instead of failing the job over to a recomputation.
 				probeCtx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
-				if h, err := b.cli.Health(probeCtx); err != nil {
-					b.markDown()
+				if h, err := g.clientFor(b.URL).Health(probeCtx); err != nil {
+					b.MarkDown()
 				} else {
-					b.markUpDurable(h.Durable)
+					b.MarkUpDurable(h.Durable)
 				}
 				cancel()
 			}

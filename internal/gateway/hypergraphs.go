@@ -30,22 +30,22 @@ import (
 // after New); cmd/hpgate and tests reach the arenas through it.
 func (g *Gateway) Graphs() *graphstore.Store { return g.graphs }
 
-// submitWithGraph submits wire to b, first making sure b holds the
-// referenced hypergraph (a no-op for inline requests). When the backend
-// still answers 404 — it evicted the graph between the ensure and the
-// submit — the graph is replicated once more and the submit retried.
-func (g *Gateway) submitWithGraph(ctx context.Context, b *backend, wire hyperpraw.PartitionRequest) (hyperpraw.JobInfo, error) {
+// submitWithGraph submits wire to the backend at url, first making sure it
+// holds the referenced hypergraph (a no-op for inline requests). When the
+// backend still answers 404 — it evicted the graph between the ensure and
+// the submit — the graph is replicated once more and the submit retried.
+func (g *Gateway) submitWithGraph(ctx context.Context, url string, wire hyperpraw.PartitionRequest) (hyperpraw.JobInfo, error) {
 	id := wire.HypergraphID
 	if id != "" {
-		if err := g.ensureGraph(ctx, b, id); err != nil {
+		if err := g.ensureGraph(ctx, url, id); err != nil {
 			return hyperpraw.JobInfo{}, err
 		}
 	}
-	info, err := g.submitTo(ctx, b, wire)
+	info, err := g.submitTo(ctx, url, wire)
 	if err != nil && id != "" && graphMissing(err) {
-		switch rerr := g.replicateOnce(ctx, b, id); {
+		switch rerr := g.replicateOnce(ctx, url, id); {
 		case rerr == nil:
-			info, err = g.submitTo(ctx, b, wire)
+			info, err = g.submitTo(ctx, url, wire)
 		case errors.Is(rerr, ErrUnknownGraph):
 			// The backend lost the graph and the gateway holds no copy
 			// to restore it from: surface the actionable verdict.
@@ -55,23 +55,23 @@ func (g *Gateway) submitWithGraph(ctx context.Context, b *backend, wire hyperpra
 	return info, err
 }
 
-// ensureGraph makes sure backend b holds committed hypergraph id before
-// a job referencing it lands there: a GET probe first (the steady state
-// — the backend already has it, from an earlier job or a direct upload),
-// then a replication upload of the gateway's arena.
-func (g *Gateway) ensureGraph(ctx context.Context, b *backend, id string) error {
+// ensureGraph makes sure the backend at url holds committed hypergraph id
+// before a job referencing it lands there: a GET probe first (the steady
+// state — the backend already has it, from an earlier job or a direct
+// upload), then a replication upload of the gateway's arena.
+func (g *Gateway) ensureGraph(ctx context.Context, url, id string) error {
 	probeCtx, cancel := context.WithTimeout(ctx, g.cfg.ProxyTimeout)
 	start := time.Now()
-	info, err := b.cli.Hypergraph(probeCtx, id)
+	info, err := g.clientFor(url).Hypergraph(probeCtx, id)
 	cancel()
-	g.metrics.backendRequest(b.url, "graph_probe", err, time.Since(start))
+	g.metrics.backendRequest(url, "graph_probe", err, time.Since(start))
 	if err == nil && info.State == hyperpraw.HypergraphCommitted {
 		return nil
 	}
 	if err != nil && !graphMissing(err) {
 		return err // backend trouble, not absence: the caller's error
 	}
-	return g.replicateOnce(ctx, b, id)
+	return g.replicateOnce(ctx, url, id)
 }
 
 // replication is one in-flight transfer of a graph to a backend; late
@@ -89,8 +89,8 @@ type replication struct {
 // transfers wasted). A failed flight is forgotten before its waiters
 // wake, so a waiter retries the transfer itself rather than inheriting
 // a verdict its own context never caused.
-func (g *Gateway) replicateOnce(ctx context.Context, b *backend, id string) error {
-	key := b.url + "\x00" + id
+func (g *Gateway) replicateOnce(ctx context.Context, url, id string) error {
+	key := url + "\x00" + id
 	for {
 		g.replMu.Lock()
 		if f, ok := g.repl[key]; ok {
@@ -109,7 +109,7 @@ func (g *Gateway) replicateOnce(ctx context.Context, b *backend, id string) erro
 		g.repl[key] = f
 		g.replMu.Unlock()
 
-		f.err = g.replicateGraph(ctx, b, id)
+		f.err = g.replicateGraph(ctx, url, id)
 		g.replMu.Lock()
 		delete(g.repl, key)
 		g.replMu.Unlock()
@@ -118,26 +118,26 @@ func (g *Gateway) replicateOnce(ctx context.Context, b *backend, id string) erro
 	}
 }
 
-// replicateGraph streams the gateway's arena for id to backend b as a
-// chunked upload and verifies the backend committed the same
+// replicateGraph streams the gateway's arena for id to the backend at url
+// as a chunked upload and verifies the backend committed the same
 // fingerprint. The arena stays pinned (referenced) for the duration so
 // the gateway's own LRU cannot evict it mid-transfer. The upload runs
 // under the caller's context, not the proxy deadline: a multi-gigabyte
 // arena legitimately takes longer than one proxied status call.
-func (g *Gateway) replicateGraph(ctx context.Context, b *backend, id string) error {
+func (g *Gateway) replicateGraph(ctx context.Context, url, id string) error {
 	a, release, err := g.graphs.Acquire(id)
 	if err != nil {
 		return fmt.Errorf("%w: %s (upload it to the gateway first)", ErrUnknownGraph, id)
 	}
 	defer release()
 	start := time.Now()
-	info, err := b.cli.UploadHypergraph(ctx, bytes.NewReader(a.Raw()), a.Name(), 0)
-	g.metrics.backendRequest(b.url, "replicate", err, time.Since(start))
+	info, err := g.clientFor(url).UploadHypergraph(ctx, bytes.NewReader(a.Raw()), a.Name(), 0)
+	g.metrics.backendRequest(url, "replicate", err, time.Since(start))
 	if err != nil {
-		return fmt.Errorf("gateway: replicating %s to %s: %w", id, b.url, err)
+		return fmt.Errorf("gateway: replicating %s to %s: %w", id, url, err)
 	}
 	if info.ID != id {
-		return fmt.Errorf("gateway: replicating %s to %s: backend committed fingerprint %s", id, b.url, info.ID)
+		return fmt.Errorf("gateway: replicating %s to %s: backend committed fingerprint %s", id, url, info.ID)
 	}
 	g.metrics.graphReplications.Inc()
 	return nil
@@ -158,26 +158,22 @@ func graphMissing(err error) bool {
 // gateway's copy intact. A backend that never held the graph answers
 // 404 and is simply not counted.
 func (g *Gateway) DeleteGraph(ctx context.Context, id string) error {
-	snap := g.members.Snapshot()
-	backends := make([]*backend, 0, len(snap.Members))
-	for _, m := range snap.Members {
-		backends = append(backends, g.wrap(m))
-	}
+	members := g.members.Snapshot().Members
 
 	_, localKnown := g.graphs.Get(id)
 	found := localKnown
-	errs := make([]error, len(backends))
+	errs := make([]error, len(members))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for i, b := range backends {
+	for i, m := range members {
 		wg.Add(1)
-		go func(i int, b *backend) {
+		go func(i int, url string) {
 			defer wg.Done()
 			callCtx, cancel := context.WithTimeout(ctx, g.cfg.ProxyTimeout)
 			defer cancel()
 			start := time.Now()
-			err := b.cli.DeleteHypergraph(callCtx, id)
-			g.metrics.backendRequest(b.url, "graph_delete", err, time.Since(start))
+			err := g.clientFor(url).DeleteHypergraph(callCtx, id)
+			g.metrics.backendRequest(url, "graph_delete", err, time.Since(start))
 			var apiErr *client.APIError
 			switch {
 			case err == nil:
@@ -187,11 +183,11 @@ func (g *Gateway) DeleteGraph(ctx context.Context, id string) error {
 			case errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound:
 				// The backend never held it; nothing to do.
 			case errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusConflict:
-				errs[i] = fmt.Errorf("%w: %s on %s: %v", graphstore.ErrReferenced, id, b.url, apiErr.Message)
+				errs[i] = fmt.Errorf("%w: %s on %s: %v", graphstore.ErrReferenced, id, url, apiErr.Message)
 			default:
-				errs[i] = fmt.Errorf("%w: deleting %s on %s: %v", service.ErrUpstream, id, b.url, err)
+				errs[i] = fmt.Errorf("%w: deleting %s on %s: %v", service.ErrUpstream, id, url, err)
 			}
-		}(i, b)
+		}(i, m.URL)
 	}
 	wg.Wait()
 

@@ -247,11 +247,11 @@ func TestGatewaySaturatedPrimaryStillLastResort(t *testing.T) {
 	t.Cleanup(g.Close)
 	ctx := testCtx(t)
 
-	b, ok := g.backendFor(real.URL)
+	m, ok := g.members.Get(real.URL)
 	if !ok {
 		t.Fatal("backend missing")
 	}
-	b.markSaturated(3)
+	m.MarkSaturated(3)
 	info, err := g.Submit(ctx, tinyWire(2))
 	if err != nil {
 		t.Fatalf("submit with only a saturated backend = %v, want accepted", err)

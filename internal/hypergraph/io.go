@@ -212,18 +212,18 @@ func ReadMatrixMarket(r io.Reader) (*Hypergraph, error) {
 	if len(fields) != 3 {
 		return nil, fmt.Errorf("matrixmarket: malformed size line %q", header)
 	}
-	rows, err := strconv.Atoi(fields[0])
-	if err != nil {
-		return nil, fmt.Errorf("matrixmarket: bad row count %q", fields[0])
+	var size [3]int
+	for i, name := range []string{"row", "column", "nnz"} {
+		n, err := strconv.Atoi(fields[i])
+		if err != nil {
+			return nil, fmt.Errorf("matrixmarket: bad %s count %q", name, fields[i])
+		}
+		if n < 0 {
+			return nil, fmt.Errorf("matrixmarket: negative %s count %d", name, n)
+		}
+		size[i] = n
 	}
-	cols, err := strconv.Atoi(fields[1])
-	if err != nil {
-		return nil, fmt.Errorf("matrixmarket: bad column count %q", fields[1])
-	}
-	nnz, err := strconv.Atoi(fields[2])
-	if err != nil {
-		return nil, fmt.Errorf("matrixmarket: bad nnz count %q", fields[2])
-	}
+	rows, cols, nnz := size[0], size[1], size[2]
 
 	rowPins := make([][]int, rows)
 	read := 0

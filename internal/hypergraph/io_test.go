@@ -1,6 +1,7 @@
 package hypergraph
 
 import (
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -174,6 +175,28 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 	for i, in := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d: expected error", i)
+		}
+	}
+}
+
+// TestReadersRejectNegativeFields checks that a negative header count or
+// edge weight is a parse error naming the field or edge, not a panic in
+// the allocation the count sizes or a weight the partitioner rejects later.
+func TestReadersRejectNegativeFields(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		read func(io.Reader) (*Hypergraph, error)
+		in   string
+		want string
+	}{
+		{"patoh/vertices", ReadPaToH, "0 -1 0 0\n", "negative vertex count -1"},
+		{"patoh/edge-weight", ReadPaToH, "0 2 1 2 1\n-5 0 1\n", "edge 0: negative weight -5"},
+		{"matrixmarket/rows", ReadMatrixMarket, "-1 2 0\n", "negative row count -1"},
+		{"matrixmarket/columns", ReadMatrixMarket, "2 -3 0\n", "negative column count -3"},
+	} {
+		_, err := tc.read(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -101,6 +101,11 @@ func ReadPaToH(r io.Reader) (*Hypergraph, error) {
 	if len(nums) == 5 {
 		scheme = nums[4]
 	}
+	for i, name := range []string{"vertex", "edge", "pin"} {
+		if n := nums[i+1]; n < 0 {
+			return nil, fmt.Errorf("patoh: negative %s count %d", name, n)
+		}
+	}
 	if base != 0 && base != 1 {
 		return nil, fmt.Errorf("patoh: unsupported index base %d", base)
 	}
@@ -124,6 +129,9 @@ func ReadPaToH(r io.Reader) (*Hypergraph, error) {
 			weight, err = strconv.ParseInt(toks[0], 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("patoh: edge %d: bad weight %q", e, toks[0])
+			}
+			if weight < 0 {
+				return nil, fmt.Errorf("patoh: edge %d: negative weight %d", e, weight)
 			}
 			toks = toks[1:]
 		}

@@ -315,7 +315,7 @@ func (s *Snapshot) URLs() []string {
 }
 
 // Table is the desired-state member table plus its reconciler. All
-// mutation goes through Register/Add/Deregister/Remove and Reconcile;
+// mutation goes through Register/Add/Deregister and Reconcile;
 // readers take snapshots.
 type Table struct {
 	cfg Config
@@ -418,7 +418,7 @@ func (t *Table) Register(url string, durable bool, ttl time.Duration) (m *Member
 // Deregister removes a member (graceful shutdown or operator action) and
 // drains its jobs to peers. Reports whether the member existed.
 func (t *Table) Deregister(url string) bool {
-	if !t.removeLocked(url) {
+	if !t.remove(url) {
 		return false
 	}
 	t.event(url, EventDeregistered)
@@ -426,11 +426,8 @@ func (t *Table) Deregister(url string) bool {
 	return true
 }
 
-// Remove drops a member without draining: its jobs fail over lazily on
-// their next poll (the legacy RemoveBackend semantics).
-func (t *Table) Remove(url string) bool { return t.removeLocked(url) }
-
-func (t *Table) removeLocked(url string) bool {
+// remove drops a member from the set, reporting whether it was present.
+func (t *Table) remove(url string) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.members[url]; !ok {
@@ -467,7 +464,7 @@ func (t *Table) Reconcile(ctx context.Context) {
 	// desired; eject it and move its jobs before wasting a probe on it.
 	for _, m := range snap.Members {
 		if m.leaseExpired(now) {
-			if t.removeLocked(m.URL) {
+			if t.remove(m.URL) {
 				t.event(m.URL, EventLeaseExpired)
 				t.drain(m.URL)
 			}

@@ -197,7 +197,6 @@ func (m *serviceMetrics) recordKernel(ks hyperpraw.KernelStats) {
 		{"scan_bounded", ks.ScanBounded},
 		{"scan_blocked", ks.ScanBlocked},
 		{"exhaustive_fallbacks", ks.ExhaustiveFallbacks},
-		{"bounded_pops", ks.BoundedPops},
 		{"blocked_work", ks.BlockedWork},
 		{"block_rejections", ks.BlockRejections},
 		{"exact_settles", ks.ExactSettles},
