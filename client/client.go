@@ -282,8 +282,10 @@ func (c *Client) StreamProgress(ctx context.Context, id string, after int, fn fu
 		return apiError(resp)
 	}
 
+	// Frames are small: start at bufio's 4 KiB default and grow only for
+	// a longer line, up to 1 MiB.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	var data []byte
 	for sc.Scan() {
 		line := sc.Text()

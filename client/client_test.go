@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -151,7 +152,10 @@ func TestStreamProgressParsesSSE(t *testing.T) {
 	frames := []hyperpraw.ProgressEvent{
 		{JobID: "job-000001", Seq: 1, IterationPoint: hyperpraw.IterationPoint{Iteration: 1, CommCost: 12.5, Moves: 3}},
 		{JobID: "job-000001", Seq: 2, IterationPoint: hyperpraw.IterationPoint{Iteration: 2, CommCost: 9.25, InTolerance: true}},
-		{JobID: "job-000001", Seq: 3, Final: true, Status: hyperpraw.JobDone},
+		// A final frame whose data: line (an 8 KiB error) outgrows the
+		// scanner's 4 KiB starting buffer.
+		{JobID: "job-000001", Seq: 3, Final: true, Status: hyperpraw.JobFailed,
+			Error: "kernel: " + strings.Repeat("cut too deep; ", 600)},
 	}
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/event-stream")

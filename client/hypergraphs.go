@@ -64,10 +64,17 @@ func (c *Client) CommitHypergraph(ctx context.Context, id string) (hyperpraw.Hyp
 // resumable upload — create session, PUT parts of partSize bytes (<= 0
 // selects DefaultPartSize), commit — and returns the committed resource.
 // Only one part is buffered in client memory at a time, so the document
-// size is bounded by the server's limits, not this process's heap.
+// size is bounded by the server's limits, not this process's heap. A
+// source that reports its remaining length (bytes.Reader, strings.Reader,
+// bytes.Buffer) caps the part buffer at that length.
 func (c *Client) UploadHypergraph(ctx context.Context, r io.Reader, name string, partSize int64) (hyperpraw.HypergraphInfo, error) {
 	if partSize <= 0 {
 		partSize = DefaultPartSize
+	}
+	if l, ok := r.(interface{ Len() int }); ok {
+		// At least one byte: io.ReadFull into an empty buffer returns
+		// (0, nil) and the part loop would never end.
+		partSize = min(partSize, max(int64(l.Len()), 1))
 	}
 	up, err := c.CreateHypergraphUpload(ctx, name)
 	if err != nil {
@@ -91,16 +98,20 @@ func (c *Client) UploadHypergraph(ctx context.Context, r io.Reader, name string,
 	return c.CommitHypergraph(ctx, up.ID)
 }
 
-// IngestHypergraph uploads an hMetis document in one shot (no session) and
-// returns the committed resource. Convenient for graphs that comfortably
-// fit one request; larger graphs should go through UploadHypergraph.
-func (c *Client) IngestHypergraph(ctx context.Context, hmetis []byte, name string) (hyperpraw.HypergraphInfo, error) {
+// IngestHypergraph uploads a hypergraph in one shot (no session) and
+// returns the committed resource. The body is an hMetis document or a
+// serialised arena stream (the "HPGARN01" framing graphstore.Arena.Raw
+// produces, which the server interns without reparsing — how the hpgate
+// gateway replicates graphs to backends). The body is sent as is, not
+// copied. Convenient for graphs that comfortably fit one request; larger
+// graphs should go through UploadHypergraph.
+func (c *Client) IngestHypergraph(ctx context.Context, body []byte, name string) (hyperpraw.HypergraphInfo, error) {
 	path := "/v1/hypergraphs"
 	if name != "" {
 		path += "?name=" + url.QueryEscape(name)
 	}
 	var info hyperpraw.HypergraphInfo
-	err := c.do(ctx, http.MethodPost, path, hmetis, "text/plain", http.StatusCreated, &info)
+	err := c.do(ctx, http.MethodPost, path, body, "text/plain", http.StatusCreated, &info)
 	return info, err
 }
 

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -20,11 +19,11 @@ import (
 // surface hpserve exposes, mounted over the gateway's own arena store),
 // and the gateway lazily replicates it to whichever backend the
 // rendezvous ranking routes the first referencing job to. Replication
-// streams the arena's serialised bytes (Arena.Raw) through the backend's
-// chunked upload API — the backend's store recognises the arena framing
-// and interns it without reparsing — and is idempotent by construction:
-// the resource ID is the graph's fingerprint, so a duplicate replication
-// dedups into the backend's existing arena.
+// sends the arena's serialised bytes (Arena.Raw) as the body of a single
+// one-shot POST /v1/hypergraphs — the backend's store recognises the
+// arena framing and interns it without reparsing — and is idempotent by
+// construction: the resource ID is the graph's fingerprint, so a
+// duplicate replication dedups into the backend's existing arena.
 
 // Graphs exposes the gateway's own hypergraph store (always non-nil
 // after New); cmd/hpgate and tests reach the arenas through it.
@@ -118,12 +117,13 @@ func (g *Gateway) replicateOnce(ctx context.Context, url, id string) error {
 	}
 }
 
-// replicateGraph streams the gateway's arena for id to the backend at url
-// as a chunked upload and verifies the backend committed the same
-// fingerprint. The arena stays pinned (referenced) for the duration so
-// the gateway's own LRU cannot evict it mid-transfer. The upload runs
-// under the caller's context, not the proxy deadline: a multi-gigabyte
-// arena legitimately takes longer than one proxied status call.
+// replicateGraph sends the gateway's arena for id to the backend at url
+// in one request and verifies the backend committed the same
+// fingerprint. The request body is the arena's own bytes, not a copy; the
+// arena stays pinned (referenced) for the duration so the gateway's own
+// LRU cannot evict it mid-transfer. The upload runs under the caller's
+// context, not the proxy deadline: a multi-gigabyte arena legitimately
+// takes longer than one proxied status call.
 func (g *Gateway) replicateGraph(ctx context.Context, url, id string) error {
 	a, release, err := g.graphs.Acquire(id)
 	if err != nil {
@@ -131,7 +131,7 @@ func (g *Gateway) replicateGraph(ctx context.Context, url, id string) error {
 	}
 	defer release()
 	start := time.Now()
-	info, err := g.clientFor(url).UploadHypergraph(ctx, bytes.NewReader(a.Raw()), a.Name(), 0)
+	info, err := g.clientFor(url).IngestHypergraph(ctx, a.Raw(), a.Name())
 	g.metrics.backendRequest(url, "replicate", err, time.Since(start))
 	if err != nil {
 		return fmt.Errorf("gateway: replicating %s to %s: %w", id, url, err)

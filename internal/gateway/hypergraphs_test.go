@@ -2,12 +2,15 @@ package gateway
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,13 +22,43 @@ import (
 
 const gwTinyHMetis = "6 8\n1 2 3\n2 4\n3 5 6\n1 7 8\n4 5\n6 7\n"
 
-// newGraphBackend is newBackend plus access to the backend's service, so
-// replication tests can inspect which backend's graph store received the
-// arena.
-func newGraphBackend(t *testing.T) (*httptest.Server, *service.Service) {
+// requestLog records the requests a test backend served, so replication
+// tests can assert what went over the wire.
+type requestLog struct {
+	mu   sync.Mutex
+	reqs []loggedRequest
+}
+
+type loggedRequest struct {
+	method, path string
+	body         []byte
+}
+
+func (l *requestLog) wrap(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		l.mu.Lock()
+		l.reqs = append(l.reqs, loggedRequest{r.Method, r.URL.Path, body})
+		l.mu.Unlock()
+		next.ServeHTTP(w, r)
+	})
+}
+
+func (l *requestLog) snapshot() []loggedRequest {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]loggedRequest(nil), l.reqs...)
+}
+
+// newGraphBackend is newBackend plus access to the backend's service and
+// a log of the requests it served, so replication tests can inspect which
+// backend's graph store received the arena and how it was sent.
+func newGraphBackend(t *testing.T) (*httptest.Server, *service.Service, *requestLog) {
 	t.Helper()
 	svc := service.New(service.Config{Workers: 2})
-	ts := httptest.NewServer(service.NewHandler(svc))
+	seen := &requestLog{}
+	ts := httptest.NewServer(seen.wrap(service.NewHandler(svc)))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -34,7 +67,7 @@ func newGraphBackend(t *testing.T) (*httptest.Server, *service.Service) {
 			t.Errorf("backend shutdown: %v", err)
 		}
 	})
-	return ts, svc
+	return ts, svc, seen
 }
 
 // scrapeGatewayMetric reads one unlabelled series from the gateway's
@@ -66,8 +99,8 @@ func scrapeGatewayMetric(t *testing.T, base, name string) float64 {
 // to exactly the rendezvous-chosen backend, the second reuses that copy
 // (no new replication), and DELETE clears the whole fleet.
 func TestGatewayGraphReplication(t *testing.T) {
-	tsA, svcA := newGraphBackend(t)
-	tsB, svcB := newGraphBackend(t)
+	tsA, svcA, logA := newGraphBackend(t)
+	tsB, svcB, logB := newGraphBackend(t)
 	urls := []string{tsA.URL, tsB.URL}
 	backends := map[string]*service.Service{tsA.URL: svcA, tsB.URL: svcB}
 
@@ -120,6 +153,23 @@ func TestGatewayGraphReplication(t *testing.T) {
 	}
 	if n := scrapeGatewayMetric(t, gw.URL, "hpgate_graph_replications_total"); n != 1 {
 		t.Fatalf("replications after first reference: %v, want 1", n)
+	}
+	// Replication is one POST of the arena's own bytes: no upload
+	// session, no parts, no commit.
+	var ingests int
+	for _, r := range append(logA.snapshot(), logB.snapshot()...) {
+		switch {
+		case r.method == http.MethodPost && r.path == "/v1/hypergraphs":
+			ingests++
+			if !bytes.HasPrefix(r.body, []byte("HPGARN01")) {
+				t.Fatalf("replication body starts %q, want the arena magic HPGARN01", r.body[:min(8, len(r.body))])
+			}
+		case strings.Contains(r.path, "/parts/") || strings.HasSuffix(r.path, "/commit"):
+			t.Fatalf("replication sent %s %s, want one POST /v1/hypergraphs", r.method, r.path)
+		}
+	}
+	if ingests != 1 {
+		t.Fatalf("backends served %d POST /v1/hypergraphs, want 1", ingests)
 	}
 
 	// A second job against the same reference rides the replica already in

@@ -24,8 +24,10 @@ const (
 
 // ReadHMetis parses a hypergraph in hMetis format from r.
 func ReadHMetis(r io.Reader) (*Hypergraph, error) {
+	// The line buffer starts at bufio's 4 KiB default and doubles only
+	// for a longer line, up to 16 MiB: most documents are small.
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 
 	header, err := nextDataLine(sc)
 	if err != nil {
@@ -175,7 +177,7 @@ func WriteHMetis(w io.Writer, h *Hypergraph) error {
 // where |E| = |V| because the matrices are square.
 func ReadMatrixMarket(r io.Reader) (*Hypergraph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 
 	symmetric := false
 	sawBanner := false

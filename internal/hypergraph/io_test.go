@@ -1,6 +1,7 @@
 package hypergraph
 
 import (
+	"fmt"
 	"io"
 	"path/filepath"
 	"strings"
@@ -289,4 +290,62 @@ func equalHG(a, b *Hypergraph) bool {
 		}
 	}
 	return true
+}
+
+// TestReadersParseLongLines feeds every line-scanning reader one record
+// line of about 400 KB, far past the scanner's 4 KiB starting buffer, and
+// checks each parses to the document it encodes.
+func TestReadersParseLongLines(t *testing.T) {
+	const n = 60000 // pins of the long hyperedge: ~350 KB of text
+	var pins strings.Builder
+	all := make([]int, n)
+	for v := range all {
+		all[v] = v
+		fmt.Fprintf(&pins, " %d", v+1)
+	}
+	b := NewBuilder(n)
+	b.AddWeightedEdge(3, all...)
+	b.AddWeightedEdge(5, 0, n-1)
+	want := b.Build()
+
+	t.Run("hmetis", func(t *testing.T) {
+		doc := fmt.Sprintf("2 %d 1\n3%s\n5 1 %d\n", n, pins.String(), n)
+		h, err := ReadHMetis(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameHypergraph(t, want, h)
+	})
+	t.Run("patoh", func(t *testing.T) {
+		doc := fmt.Sprintf("1 %d 2 %d 1\n3%s\n5 1 %d\n", n, n+2, pins.String(), n)
+		h, err := ReadPaToH(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameHypergraph(t, want, h)
+	})
+	t.Run("matrixmarket", func(t *testing.T) {
+		// One entry whose value carries 400,000 digits.
+		long := "1." + strings.Repeat("0", 400000) + "1"
+		doc := "%%MatrixMarket matrix coordinate real general\n2 3 3\n1 1 " + long + "\n1 3 1.0\n2 2 1.0\n"
+		h, err := ReadMatrixMarket(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb := NewBuilder(3)
+		mb.AddEdge(0, 2)
+		mb.AddEdge(1)
+		sameHypergraph(t, mb.Build(), h)
+	})
+	t.Run("partition", func(t *testing.T) {
+		// An assignment written with 400,000 leading zeros.
+		doc := "0\n" + strings.Repeat("0", 400000) + "3\n1\n"
+		got, err := ReadPartition(strings.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 3 || got[0] != 0 || got[1] != 3 || got[2] != 1 {
+			t.Fatalf("partition %v, want [0 3 1]", got)
+		}
+	})
 }

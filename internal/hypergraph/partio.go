@@ -25,7 +25,7 @@ func WritePartition(w io.Writer, parts []int32) error {
 // lines and '%' comments are skipped.
 func ReadPartition(r io.Reader) ([]int32, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 	var parts []int32
 	line := 0
 	for sc.Scan() {
@@ -80,7 +80,7 @@ func LoadPartition(path string) ([]int32, error) {
 // format lets the catalog interoperate with PaToH-prepared datasets.
 func ReadPaToH(r io.Reader) (*Hypergraph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	sc.Buffer(nil, 1<<24)
 	header, err := nextDataLine(sc)
 	if err != nil {
 		return nil, fmt.Errorf("patoh: missing header: %w", err)

@@ -21,7 +21,7 @@ type serviceMetrics struct {
 
 	jobsSubmitted  *telemetry.Counter
 	jobsCompleted  *telemetry.CounterVec   // status: done | failed | deadline
-	jobsRejected   *telemetry.CounterVec   // reason: queue_full | inflight_bytes | closed
+	jobsRejected   *telemetry.CounterVec   // reason: queue_full | inflight_bytes | closed | unknown_graph
 	stageSeconds   *telemetry.HistogramVec // stage: queue_wait | profile | partition | total
 	sseSubscribers *telemetry.Gauge
 
@@ -174,6 +174,8 @@ func (m *serviceMetrics) rejected(err error) {
 		reason = "closed"
 	case errors.Is(err, ErrInflightBytes):
 		reason = "inflight_bytes"
+	case errors.Is(err, ErrUnknownHypergraph):
+		reason = "unknown_graph"
 	}
 	m.jobsRejected.WithLabelValues(reason).Inc()
 }

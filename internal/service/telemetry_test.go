@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -183,6 +184,32 @@ func TestServiceTelemetryEndToEnd(t *testing.T) {
 	}
 	if h.Telemetry.UptimeSeconds <= 0 || h.Telemetry.GoVersion == "" {
 		t.Fatalf("snapshot identity fields %+v", h.Telemetry)
+	}
+}
+
+// TestRejectedUnknownGraphReason pins the rejection label of a
+// by-reference submit for a graph the store does not hold: it is
+// unknown_graph, not the queue_full a full queue reports.
+func TestRejectedUnknownGraphReason(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	ts, s := newTestServer(t, Config{Workers: 1, Metrics: reg})
+	req, err := ParseRequest(hyperpraw.PartitionRequest{
+		Algorithm:    "aware",
+		Machine:      hyperpraw.MachineSpec{Kind: "archer", Cores: 4},
+		HypergraphID: "deadbeefdeadbeefdeadbeefdeadbeef",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(req); !errors.Is(err, ErrUnknownHypergraph) {
+		t.Fatalf("submit for a missing graph: %v, want ErrUnknownHypergraph", err)
+	}
+	scraped := scrapeMetrics(t, ts.Client(), ts.URL)
+	if got := metricValue(t, scraped, `hyperpraw_jobs_rejected_total{reason="unknown_graph"}`); got != 1 {
+		t.Errorf("unknown_graph rejections = %g, want 1", got)
+	}
+	if got := metricValue(t, scraped, `hyperpraw_jobs_rejected_total{reason="queue_full"}`); got > 0 {
+		t.Errorf("queue_full rejections = %g, want 0", got)
 	}
 }
 
