@@ -209,18 +209,29 @@ func (c *Client) ListJobs(ctx context.Context, q JobsQuery) (hyperpraw.JobsPage,
 // Result fetches the finished payload for id. It returns ErrNotDone while
 // the job is queued or running.
 func (c *Client) Result(ctx context.Context, id string) (*hyperpraw.JobResult, error) {
+	data, err := c.ResultJSON(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	var res hyperpraw.JobResult
+	if err := json.Unmarshal(data, &res); err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
+// ResultJSON fetches the finished payload for id as the server sent it,
+// undecoded: the hpgate gateway relays it to its own clients verbatim. It
+// returns ErrNotDone while the job is queued or running.
+func (c *Client) ResultJSON(ctx context.Context, id string) (json.RawMessage, error) {
 	resp, err := c.roundTrip(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, "")
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	switch resp.StatusCode {
 	case http.StatusOK:
-		var res hyperpraw.JobResult
-		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-			return nil, err
-		}
-		return &res, nil
+		return io.ReadAll(resp.Body)
 	case http.StatusAccepted:
 		return nil, ErrNotDone
 	default:
@@ -265,8 +276,12 @@ func (c *Client) Partition(ctx context.Context, req hyperpraw.PartitionRequest) 
 // number (0 from the start). It returns nil once the final event has been
 // delivered, fn's error if fn rejects an event, and ErrStreamEnded when
 // the stream closes early — reconnect with the last seen Seq to resume.
+// After the final event it reads the stream to its end, waiting at most
+// 100ms, so the connection can serve the next call.
 func (c *Client) StreamProgress(ctx context.Context, id string, after int, fn func(hyperpraw.ProgressEvent) error) error {
 	path := fmt.Sprintf("/v1/jobs/%s/events?after=%d", id, after)
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {
 		return err
@@ -277,10 +292,11 @@ func (c *Client) StreamProgress(ctx context.Context, id string, after int, fn fu
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		defer drainClose(resp.Body)
 		return apiError(resp)
 	}
+	defer resp.Body.Close()
 
 	// Frames are small: start at bufio's 4 KiB default and grow only for
 	// a longer line, up to 1 MiB.
@@ -302,6 +318,12 @@ func (c *Client) StreamProgress(ctx context.Context, id string, after int, fn fu
 				return err
 			}
 			if ev.Final {
+				// Both tiers end the stream right after the final frame;
+				// reading to its end keeps the connection for the next
+				// call. A peer that holds the stream open is cut off.
+				stop := time.AfterFunc(sseDrainWait, cancel)
+				drainClose(resp.Body)
+				stop.Stop()
 				return nil
 			}
 			continue
@@ -402,7 +424,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 			return resp, nil
 		case err == nil:
 			lastErr = apiError(resp)
-			resp.Body.Close()
+			drainClose(resp.Body)
 		case retryableTransport(method, err):
 			lastErr = err
 		default:
@@ -478,7 +500,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, conte
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode != wantStatus {
 		return apiError(resp)
 	}
@@ -486,6 +508,23 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, conte
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// Bounds on reading the rest of a response before closing it: at most
+// maxDrain bytes, and for an event stream at most sseDrainWait after its
+// final frame.
+const (
+	maxDrain     = 64 << 10
+	sseDrainWait = 100 * time.Millisecond
+)
+
+// drainClose reads what is left of a response body, up to maxDrain
+// bytes, then closes it. Go's transport reuses a connection only once
+// its response was read to the end; closing one early costs a new
+// connection on the next call.
+func drainClose(body io.ReadCloser) {
+	io.Copy(io.Discard, io.LimitReader(body, maxDrain)) //nolint:errcheck // a failed drain only forfeits the connection
+	body.Close()
 }
 
 // apiError decodes a non-2xx response body into an APIError. It accepts

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -202,5 +203,91 @@ func TestStreamProgressReportsEarlyEnd(t *testing.T) {
 		func(hyperpraw.ProgressEvent) error { return nil })
 	if !errors.Is(err, client.ErrStreamEnded) {
 		t.Fatalf("error %v, want ErrStreamEnded", err)
+	}
+}
+
+// TestStreamProgressCutsOffHeldStream serves a final frame and then holds
+// the stream open, as a buffering proxy might: StreamProgress must deliver
+// the frame and return once its drain wait (100ms) runs out.
+func TestStreamProgressCutsOffHeldStream(t *testing.T) {
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		service.WriteSSE(w, hyperpraw.ProgressEvent{JobID: "job-000001", Seq: 1, Final: true, Status: hyperpraw.JobDone}) //nolint:errcheck
+		w.(http.Flusher).Flush()
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer ts.Close()
+	defer close(release)
+
+	start := time.Now()
+	var finals int
+	err := client.New(ts.URL, nil).StreamProgress(context.Background(), "job-000001", 0,
+		func(ev hyperpraw.ProgressEvent) error {
+			if ev.Final {
+				finals++
+			}
+			return nil
+		})
+	if err != nil || finals != 1 {
+		t.Fatalf("err %v after %d final frames, want nil after 1", err, finals)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("StreamProgress returned %v after the final frame of a held stream", elapsed)
+	}
+}
+
+// TestSequentialJobsReuseOneConnection runs 20 jobs one after another
+// through Submit, StreamProgress and Result against a real service: every
+// response is read to its end, so the whole run uses one connection.
+func TestSequentialJobsReuseOneConnection(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	var conns atomic.Int32
+	ts := httptest.NewUnstartedServer(service.NewHandler(svc))
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := svc.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	c := client.New(ts.URL, ts.Client())
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	for i := 0; i < 20; i++ {
+		// A distinct machine seed per job: each one is computed and
+		// streamed live, not answered from the result cache.
+		info, err := c.Submit(ctx, hyperpraw.PartitionRequest{
+			Algorithm: "aware",
+			Machine:   hyperpraw.MachineSpec{Kind: "archer", Cores: 4, Seed: uint64(i + 1)},
+			HMetis:    "3 8\n1 2 3\n3 4 5\n5 6 7 8\n",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.StreamProgress(ctx, info.ID, 0, func(hyperpraw.ProgressEvent) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Result(ctx, info.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Parts) != 8 {
+			t.Fatalf("job %d: %d parts, want 8", i, len(res.Parts))
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("20 sequential jobs opened %d connections, want 1", n)
 	}
 }

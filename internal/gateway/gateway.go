@@ -19,6 +19,7 @@ package gateway
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -90,8 +91,9 @@ type Config struct {
 	// -announce).
 	Backends []string
 	// HTTPClient talks to the backends; nil selects a client without a
-	// global timeout (SSE streams are long-lived), health probes are
-	// bounded by HealthTimeout instead.
+	// global timeout (SSE streams are long-lived; health probes are
+	// bounded by HealthTimeout instead) whose transport keeps up to
+	// backendIdleConns idle connections per backend.
 	HTTPClient *http.Client
 	// HealthInterval is the period of the background reconciler loop
 	// (default 2s). A negative interval disables the loop; tests drive
@@ -163,9 +165,17 @@ type Config struct {
 	Graphs *graphstore.Store
 }
 
+// backendIdleConns is the default client's idle pool per backend. Every
+// gateway request in flight holds one backend connection, so net/http's
+// default of 2 closes, and later redials, any beyond the second whenever
+// more than two clients are served at once.
+const backendIdleConns = 64
+
 func (c Config) withDefaults() Config {
 	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConnsPerHost = backendIdleConns
+		c.HTTPClient = &http.Client{Transport: t}
 	}
 	if c.HealthInterval == 0 {
 		c.HealthInterval = 2 * time.Second
@@ -217,9 +227,10 @@ type gwJob struct {
 	failovers   int
 	terminal    atomic.Bool
 	// cached is set when the submission was answered from the gateway's
-	// result cache: the job never touched a backend and serves this
-	// payload directly.
-	cached *hyperpraw.JobResult
+	// result cache: the job never touched a backend, serves this encoded
+	// payload directly and replays history over SSE.
+	cached  json.RawMessage
+	history []hyperpraw.IterationPoint
 	// notRecoverable holds the sticky ErrNotRecoverable verdict so every
 	// result poll after the first — not just the one that triggered the
 	// failed failover — serves the actionable 410.
@@ -260,9 +271,10 @@ type Gateway struct {
 	replMu sync.Mutex
 	repl   map[string]*replication // in-flight replications by backend+graph
 
-	// results is the gateway's own result cache (nil unless
-	// Config.ResultCacheBytes is positive).
-	results *cache.Cache[hyperpraw.JobResult]
+	// results is the gateway's own result cache of encoded payloads, as
+	// the backends sent them (nil unless Config.ResultCacheBytes is
+	// positive).
+	results *cache.Cache[json.RawMessage]
 
 	metrics *gatewayMetrics
 }
@@ -286,7 +298,7 @@ func New(cfg Config) *Gateway {
 		g.ownGraphs = true
 	}
 	if cfg.ResultCacheBytes > 0 {
-		g.results = cache.NewBytes[hyperpraw.JobResult](cfg.ResultCacheBytes, resultCost)
+		g.results = cache.NewBytes[json.RawMessage](cfg.ResultCacheBytes, func(b json.RawMessage) int64 { return int64(len(b)) })
 	}
 	// The member table's hooks close over g.metrics and fire lazily (no
 	// member exists before the seed loop below, which runs after the
@@ -639,22 +651,6 @@ func retryableSubmit(err error) bool {
 	return true // transport-level failure: the backend, not the request
 }
 
-// resultCost estimates a cached JobResult's resident size for the result
-// cache's byte budget: the dominant slices, plus flat allowances for the
-// scalar fields and optional sections.
-func resultCost(res hyperpraw.JobResult) int64 {
-	cost := int64(512)
-	cost += int64(len(res.Parts)) * 4
-	cost += int64(len(res.History)) * 48
-	if res.Bench != nil {
-		cost += 256
-	}
-	if res.Kernel != nil {
-		cost += 256
-	}
-	return cost
-}
-
 // Submit validates wire, routes it by hypergraph fingerprint, and submits
 // it to the first backend that accepts it, ejecting backends that fail
 // along the way. When the gateway's result cache is enabled and already
@@ -671,8 +667,11 @@ func (g *Gateway) Submit(ctx context.Context, wire hyperpraw.PartitionRequest) (
 	var resultKey string
 	if g.results != nil {
 		resultKey = parsed.ResultKey()
-		if res, ok := g.results.Get(resultKey); ok {
-			return g.registerCached(fingerprint, resultKey, res, telemetry.TraceFrom(ctx)), nil
+		if raw, ok := g.results.Get(resultKey); ok {
+			if info, err := g.registerCached(fingerprint, resultKey, raw, telemetry.TraceFrom(ctx)); err == nil {
+				return info, nil
+			}
+			// A payload that does not decode is routed like a miss.
 		}
 	}
 
@@ -800,14 +799,25 @@ func (g *Gateway) register(wire hyperpraw.PartitionRequest, fingerprint, resultK
 
 // registerCached records a submission answered wholly from the gateway's
 // result cache: the job is born terminal-done, carries the cached payload,
-// and never touches a backend. It still counts as a submitted and
-// completed job so the gateway's totals keep balancing.
-func (g *Gateway) registerCached(fingerprint, resultKey string, res hyperpraw.JobResult, trace string) hyperpraw.JobInfo {
+// and never touches a backend. The payload is decoded once, to flag it as
+// a result-cache hit and to keep its history for SSE replay. The job still
+// counts as a submitted and completed job so the gateway's totals keep
+// balancing.
+func (g *Gateway) registerCached(fingerprint, resultKey string, raw json.RawMessage, trace string) (hyperpraw.JobInfo, error) {
+	var res hyperpraw.JobResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		return hyperpraw.JobInfo{}, err
+	}
 	res.ResultCacheHit = true
+	flagged, err := json.Marshal(res)
+	if err != nil {
+		return hyperpraw.JobInfo{}, err
+	}
+	flagged = append(flagged, '\n') // the line service.WriteJSON ends with
 	g.mu.Lock()
 	g.nextID++
 	id := fmt.Sprintf("gw-%06d", g.nextID)
-	j := &gwJob{id: id, fingerprint: fingerprint, resultKey: resultKey, cached: &res}
+	j := &gwJob{id: id, fingerprint: fingerprint, resultKey: resultKey, cached: flagged, history: res.History}
 	j.info = hyperpraw.JobInfo{
 		ID: id, Status: hyperpraw.JobDone, Fingerprint: fingerprint, Trace: trace,
 	}
@@ -818,7 +828,7 @@ func (g *Gateway) registerCached(fingerprint, resultKey string, res hyperpraw.Jo
 	g.metrics.jobsSubmitted.Inc()
 	g.markTerminal(j, hyperpraw.JobDone)
 	g.stripJobs(strip)
-	return j.snapshot()
+	return j.snapshot(), nil
 }
 
 // stripJobs drops the retained wire requests pruneLocked returned, outside
@@ -972,14 +982,16 @@ func (g *Gateway) Job(ctx context.Context, id string) (hyperpraw.JobInfo, error)
 	return j.info, nil
 }
 
-// Result polls the job's result on its backend. It returns
-// (nil, info, nil) while the job is still pending — including immediately
-// after a failover resubmission. A backend that is unreachable or has
-// forgotten the job triggers a failover; a job the backend reports as
-// failed (a deterministic request failure, not a backend failure) is
-// terminal and not retried elsewhere. Jobs answered from the gateway's
-// result cache serve their payload directly, with no backend involved.
-func (g *Gateway) Result(ctx context.Context, id string) (*hyperpraw.JobResult, hyperpraw.JobInfo, error) {
+// Result polls the job's result on its backend and returns the payload
+// encoded as the backend sent it, for relaying verbatim; the bytes are
+// shared and must not be modified. It returns (nil, info, nil) while the
+// job is still pending — including immediately after a failover
+// resubmission. A backend that is unreachable or has forgotten the job
+// triggers a failover; a job the backend reports as failed (a
+// deterministic request failure, not a backend failure) is terminal and
+// not retried elsewhere. Jobs answered from the gateway's result cache
+// serve their payload directly, with no backend involved.
+func (g *Gateway) Result(ctx context.Context, id string) (json.RawMessage, hyperpraw.JobInfo, error) {
 	j, ok := g.job(id)
 	if !ok {
 		return nil, hyperpraw.JobInfo{}, ErrUnknownJob
@@ -992,8 +1004,7 @@ func (g *Gateway) Result(ctx context.Context, id string) (*hyperpraw.JobResult, 
 		return nil, j.info, j.notRecoverable
 	}
 	if j.cached != nil {
-		res := *j.cached
-		return &res, j.info, nil
+		return j.cached, j.info, nil
 	}
 	// wasDone: a result was fetched before, so the retained request is gone
 	// and failover is no longer possible — if the backend has since lost
@@ -1002,15 +1013,15 @@ func (g *Gateway) Result(ctx context.Context, id string) (*hyperpraw.JobResult, 
 	if wasDone && g.results != nil && j.resultKey != "" {
 		// The backend may be gone, but the payload was cached on the first
 		// fetch; serve it without a round trip.
-		if res, ok := g.results.Get(j.resultKey); ok {
-			return &res, j.info, nil
+		if raw, ok := g.results.Get(j.resultKey); ok {
+			return raw, j.info, nil
 		}
 	}
 	b, ok := g.members.Get(j.backendURL)
 	if ok {
 		callCtx, cancel := context.WithTimeout(telemetry.WithTrace(ctx, j.info.Trace), g.cfg.ProxyTimeout)
 		start := time.Now()
-		res, err := g.clientFor(b.URL).Result(callCtx, j.backendID)
+		raw, err := g.clientFor(b.URL).ResultJSON(callCtx, j.backendID)
 		cancel()
 		g.metrics.backendRequest(b.URL, "result", err, time.Since(start))
 		switch {
@@ -1021,9 +1032,9 @@ func (g *Gateway) Result(ctx context.Context, id string) (*hyperpraw.JobResult, 
 			j.info.Error = ""
 			j.wire = hyperpraw.PartitionRequest{} // no more failovers: stop pinning the upload
 			if g.results != nil && j.resultKey != "" {
-				g.results.Put(j.resultKey, *res)
+				g.results.Put(j.resultKey, raw)
 			}
-			return res, j.info, nil
+			return raw, j.info, nil
 		case errors.Is(err, client.ErrNotDone):
 			b.MarkUp()
 			return nil, j.info, nil
@@ -1202,10 +1213,10 @@ func (g *Gateway) StreamEvents(ctx context.Context, id string, after int, emit f
 		return ErrUnknownJob
 	}
 	j.mu.Lock()
-	cached := j.cached
+	cached, history := j.cached != nil, j.history
 	j.mu.Unlock()
-	if cached != nil {
-		return streamCached(id, after, *cached, emit)
+	if cached {
+		return streamCached(id, after, history, emit)
 	}
 	lastSeq := after // resume point on the current backend's stream
 	outSeq := after  // gateway-facing sequence, monotone across failovers
@@ -1333,9 +1344,9 @@ func (g *Gateway) StreamEvents(ctx context.Context, id string, after int, emit f
 // streamCached replays a cached result's iteration history as SSE frames
 // (honouring the after cursor) followed by the final done frame — the same
 // shape a backend's own cache-hit replay produces.
-func streamCached(id string, after int, res hyperpraw.JobResult, emit func(hyperpraw.ProgressEvent) error) error {
+func streamCached(id string, after int, history []hyperpraw.IterationPoint, emit func(hyperpraw.ProgressEvent) error) error {
 	seq := 0
-	for _, pt := range res.History {
+	for _, pt := range history {
 		seq++
 		if seq <= after {
 			continue

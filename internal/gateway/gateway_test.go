@@ -1,12 +1,16 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -44,6 +48,13 @@ func fingerprintOf(t *testing.T, wire hyperpraw.PartitionRequest) string {
 // machine profiling can be gated shut to hold jobs mid-run.
 func newBackend(t *testing.T, gate chan struct{}) *httptest.Server {
 	t.Helper()
+	return startBackend(t, gate, nil)
+}
+
+// startBackend is newBackend whose connections, when connState is set,
+// report their state changes to it.
+func startBackend(t *testing.T, gate chan struct{}, connState func(net.Conn, http.ConnState)) *httptest.Server {
+	t.Helper()
 	profile := hyperpraw.Profile
 	if gate != nil {
 		profile = func(m *hyperpraw.Machine) hyperpraw.Environment {
@@ -52,7 +63,9 @@ func newBackend(t *testing.T, gate chan struct{}) *httptest.Server {
 		}
 	}
 	svc := service.New(service.Config{Workers: 2, ProfileFunc: profile})
-	ts := httptest.NewServer(service.NewHandler(svc))
+	ts := httptest.NewUnstartedServer(service.NewHandler(svc))
+	ts.Config.ConnState = connState
+	ts.Start()
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -588,10 +601,24 @@ func TestGateway404FailsOverWithoutEjecting(t *testing.T) {
 	}
 }
 
+// decodedResult is Gateway.Result with the relayed payload decoded (test
+// helper); res is nil while the job is pending.
+func (g *Gateway) decodedResult(ctx context.Context, id string) (*hyperpraw.JobResult, hyperpraw.JobInfo, error) {
+	raw, info, err := g.Result(ctx, id)
+	if err != nil || raw == nil {
+		return nil, info, err
+	}
+	var res hyperpraw.JobResult
+	if err := json.Unmarshal(raw, &res); err != nil {
+		return nil, info, err
+	}
+	return &res, info, nil
+}
+
 // waitResult polls Gateway.Result until the job settles (test helper).
 func (g *Gateway) waitResult(ctx context.Context, id string) (*hyperpraw.JobResult, error) {
 	for {
-		res, info, err := g.Result(ctx, id)
+		res, info, err := g.decodedResult(ctx, id)
 		if err != nil {
 			return nil, err
 		}
@@ -628,7 +655,7 @@ func TestGatewayDoneJobWithLostBackendErrs(t *testing.T) {
 
 	b.CloseClientConnections()
 	b.Close()
-	_, after, err := g.Result(ctx, info.ID)
+	_, after, err := g.decodedResult(ctx, info.ID)
 	if err == nil {
 		t.Fatal("result of a done job with a dead backend reported pending forever")
 	}
@@ -717,5 +744,161 @@ func TestGatewayRawHMetisUpload(t *testing.T) {
 	}
 	if len(res.Parts) != 8 || res.K != 4 {
 		t.Fatalf("result parts=%d k=%d", len(res.Parts), res.K)
+	}
+}
+
+// TestGatewayKeepsBackendConnections runs 8 concurrent clients of 50 jobs
+// each (submit, SSE stream, result) through a gateway over two backends.
+// The gateway's default client reads every backend response to its end
+// and keeps up to 64 idle connections per backend, so no backend sees more
+// connections than there are clients.
+func TestGatewayKeepsBackendConnections(t *testing.T) {
+	const clients, jobs = 8, 50
+	var urls []string
+	var conns []*atomic.Int32
+	for i := 0; i < 2; i++ {
+		n := new(atomic.Int32)
+		b := startBackend(t, nil, func(_ net.Conn, state http.ConnState) {
+			if state == http.StateNew {
+				n.Add(1)
+			}
+		})
+		urls = append(urls, b.URL)
+		conns = append(conns, n)
+	}
+	g := newGateway(t, urls...)
+	gw := httptest.NewServer(NewHandler(g))
+	t.Cleanup(gw.Close)
+	transport := &http.Transport{MaxIdleConnsPerHost: clients}
+	t.Cleanup(transport.CloseIdleConnections)
+	c := client.New(gw.URL, &http.Client{Transport: transport})
+	ctx := testCtx(t)
+
+	var wg sync.WaitGroup
+	for w := 0; w < clients; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < jobs; i++ {
+				info, err := c.Submit(ctx, tinyWire(w*jobs+i))
+				if err == nil {
+					err = c.StreamProgress(ctx, info.ID, 0, func(hyperpraw.ProgressEvent) error { return nil })
+				}
+				if err == nil {
+					_, err = c.Result(ctx, info.ID)
+				}
+				if err != nil {
+					t.Errorf("client %d job %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, n := range conns {
+		if got := n.Load(); got > clients {
+			t.Errorf("backend %d accepted %d connections for %d jobs from %d clients, want at most %d",
+				i, got, clients*jobs, clients, clients)
+		}
+	}
+}
+
+// getBody fetches url and returns its status and body.
+func getBody(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestGatewayRelaysResultBytes: the gateway's 200 result body is the
+// backend's body byte for byte, not a re-encoding of it.
+func TestGatewayRelaysResultBytes(t *testing.T) {
+	b := newBackend(t, nil)
+	g := newGateway(t, b.URL)
+	gw := httptest.NewServer(NewHandler(g))
+	t.Cleanup(gw.Close)
+	ctx := testCtx(t)
+
+	info, err := g.Submit(ctx, tinyWire(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.waitResult(ctx, info.ID); err != nil {
+		t.Fatal(err)
+	}
+	j, _ := g.job(info.ID)
+	status, fromBackend := getBody(t, b.URL+"/v1/jobs/"+j.backendID+"/result")
+	if status != http.StatusOK {
+		t.Fatalf("backend result status %d", status)
+	}
+	status, fromGateway := getBody(t, gw.URL+"/v1/jobs/"+info.ID+"/result")
+	if status != http.StatusOK {
+		t.Fatalf("gateway result status %d", status)
+	}
+	if !bytes.Equal(fromGateway, fromBackend) {
+		t.Fatalf("gateway relayed %d bytes that differ from the backend's %d:\n%s\n%s",
+			len(fromGateway), len(fromBackend), fromGateway, fromBackend)
+	}
+}
+
+// TestGatewayResultCacheHitIsBornDone: with the gateway's result cache on,
+// a repeat submission is created already done, its payload carries
+// result_cache_hit, and its SSE stream replays the cached run's history.
+func TestGatewayResultCacheHitIsBornDone(t *testing.T) {
+	b := newBackend(t, nil)
+	g := New(Config{Backends: []string{b.URL}, HealthInterval: -1, ResultCacheBytes: 1 << 20})
+	t.Cleanup(g.Close)
+	gw := httptest.NewServer(NewHandler(g))
+	t.Cleanup(gw.Close)
+	c := client.New(gw.URL, nil)
+	ctx := testCtx(t)
+
+	first, err := c.Submit(ctx, tinyWire(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Wait(ctx, first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repeat, err := c.Submit(ctx, tinyWire(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repeat.Status != hyperpraw.JobDone {
+		t.Fatalf("repeat submission created %s, want done", repeat.Status)
+	}
+	got, err := c.Result(ctx, repeat.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.ResultCacheHit || len(got.Parts) != len(want.Parts) {
+		t.Fatalf("repeat result: cache hit %t with %d parts, want a hit with %d", got.ResultCacheHit, len(got.Parts), len(want.Parts))
+	}
+	var events []hyperpraw.ProgressEvent
+	if err := c.StreamProgress(ctx, repeat.ID, 0, func(ev hyperpraw.ProgressEvent) error {
+		events = append(events, ev)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(want.History) == 0 || len(events) != len(want.History)+1 {
+		t.Fatalf("replayed %d events for a history of %d iterations", len(events), len(want.History))
+	}
+	for i, pt := range want.History {
+		if events[i].IterationPoint != pt {
+			t.Fatalf("replayed iteration %d: %+v, want %+v", i+1, events[i].IterationPoint, pt)
+		}
+	}
+	if final := events[len(events)-1]; !final.Final || final.Status != hyperpraw.JobDone {
+		t.Fatalf("last replayed event %+v, want the final done frame", final)
 	}
 }

@@ -286,7 +286,10 @@ func handleJob(g *Gateway, w http.ResponseWriter, r *http.Request) {
 		case res == nil:
 			service.WriteJSON(w, http.StatusAccepted, info) // still queued or running
 		default:
-			service.WriteJSON(w, http.StatusOK, res)
+			// The backend's encoding, relayed byte for byte.
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			w.Write(res) //nolint:errcheck // client gone mid-write is not actionable
 		}
 	case "events":
 		handleEvents(g, w, r, id)

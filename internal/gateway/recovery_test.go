@@ -84,7 +84,7 @@ func TestGatewayDurableBackendRecoversAfterRestart(t *testing.T) {
 	// instead of failing over or erroring.
 	down.Store(true)
 	g.CheckBackends(ctx)
-	res, mid, err := g.Result(ctx, info.ID)
+	res, mid, err := g.decodedResult(ctx, info.ID)
 	if err != nil || res != nil {
 		t.Fatalf("poll during outage: res=%v err=%v, want pending", res, err)
 	}
@@ -373,7 +373,7 @@ func TestGatewayStrippedJobFailsActionably(t *testing.T) {
 		t.Fatalf("second poll returned %v, want the sticky 410 verdict", err)
 	}
 
-	if _, _, err := g.Result(ctx, ids[1]); !errors.Is(err, ErrNotRecoverable) {
+	if _, _, err := g.decodedResult(ctx, ids[1]); !errors.Is(err, ErrNotRecoverable) {
 		t.Fatalf("direct poll error %v, want ErrNotRecoverable", err)
 	}
 

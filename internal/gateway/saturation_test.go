@@ -267,7 +267,7 @@ func TestGatewaySaturatedPrimaryStillLastResort(t *testing.T) {
 // waitDone polls until id settles done.
 func waitDone(ctx context.Context, g *Gateway, id string) error {
 	for {
-		res, info, err := g.Result(ctx, id)
+		res, info, err := g.decodedResult(ctx, id)
 		if err != nil {
 			return err
 		}

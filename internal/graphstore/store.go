@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -263,21 +264,71 @@ func (s *Store) IngestReader(r io.Reader, name string) (*Arena, func(), error) {
 // recomputed from the contents, so a mislabelled stream cannot poison
 // the ID namespace), and interns it like any freshly parsed graph.
 func (s *Store) ingestArena(r io.Reader, name string) (*Arena, func(), error) {
-	limit := s.cfg.MaxUploadBytes
-	data, err := io.ReadAll(io.LimitReader(r, limit+1))
+	var hdr [headerSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, nil, fmt.Errorf("graphstore: reading arena header: %w", err)
+	}
+	var dims [3]int
+	for i := range dims {
+		d := binary.LittleEndian.Uint64(hdr[8+8*i:])
+		if d > math.MaxInt32 {
+			return nil, nil, fmt.Errorf("%w: arena header dimension %d is outside the int32 index space", ErrTooLarge, int64(d))
+		}
+		dims[i] = int(d)
+	}
+	flags := binary.LittleEndian.Uint64(hdr[32:])
+	size := arenaSize(dims[0], dims[1], dims[2], flags&flagVW != 0, flags&flagEW != 0)
+	if limit := s.cfg.MaxUploadBytes; size > limit {
+		return nil, nil, fmt.Errorf("%w: arena of %d bytes exceeds %d byte limit", ErrTooLarge, size, limit)
+	}
+	buf, err := readArenaBody(r, hdr[:], size)
 	if err != nil {
-		return nil, nil, fmt.Errorf("graphstore: reading arena stream: %w", err)
+		return nil, nil, err
 	}
-	if int64(len(data)) > limit {
-		return nil, nil, fmt.Errorf("%w: arena stream exceeds %d byte limit", ErrTooLarge, limit)
-	}
-	buf := alignedBytes(int64(len(data)))
-	copy(buf, data)
 	a, err := arenaFromBuf(name, buf, false, "")
 	if err != nil {
 		return nil, nil, err
 	}
 	return s.intern(a)
+}
+
+// arenaReadChunk is the first buffer readArenaBody fills.
+const arenaReadChunk = 64 << 10
+
+// readArenaBody reads an arena of size bytes, whose header hdr was
+// already read, into an aligned buffer. The buffer doubles as bytes
+// arrive and jumps to the full size once more than a quarter of it has
+// arrived, so it allocates at most twice the arena and at most four times
+// the bytes received, whatever size the header declares. A short stream
+// and a trailing byte are both errors.
+func readArenaBody(r io.Reader, hdr []byte, size int64) ([]byte, error) {
+	buf := alignedBytes(min(size, arenaReadChunk))
+	n := int64(copy(buf, hdr))
+	for {
+		m, err := io.ReadFull(r, buf[n:])
+		n += int64(m)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, fmt.Errorf("graphstore: arena stream truncated at %d of %d bytes", n, size)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("graphstore: reading arena stream: %w", err)
+		}
+		if n == size {
+			break
+		}
+		next := 2 * n
+		if 2*next > size {
+			next = size
+		}
+		grown := alignedBytes(next)
+		copy(grown, buf)
+		buf = grown
+	}
+	var extra [1]byte
+	if m, _ := io.ReadFull(r, extra[:]); m > 0 {
+		return nil, fmt.Errorf("graphstore: arena stream longer than its %d bytes", size)
+	}
+	return buf, nil
 }
 
 // intern registers a freshly built heap arena, deduplicating by

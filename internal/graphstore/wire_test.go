@@ -2,8 +2,13 @@ package graphstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
+
+	"hyperpraw/internal/hypergraph"
 )
 
 const wireTinyHMetis = "6 8\n1 2 3\n2 4\n3 5 6\n1 7 8\n4 5\n6 7\n"
@@ -78,8 +83,9 @@ func TestArenaWireCorruption(t *testing.T) {
 	}
 }
 
-// TestArenaWireTruncated cuts the stream short at several offsets and
-// expects a clean refusal each time.
+// TestArenaWireTruncated cuts the stream short at several offsets, and
+// extends it past its declared size, and expects a clean refusal each
+// time.
 func TestArenaWireTruncated(t *testing.T) {
 	src, err := Open(Config{})
 	if err != nil {
@@ -92,14 +98,106 @@ func TestArenaWireTruncated(t *testing.T) {
 	}
 	defer release()
 
-	for _, n := range []int{9, headerSize, len(a.Raw()) - 1} {
+	raw := a.Raw()
+	streams := [][]byte{
+		raw[:9], raw[:headerSize], raw[:len(raw)-1],
+		append(append([]byte(nil), raw...), 0),
+		append(append([]byte(nil), raw...), raw...),
+	}
+	for _, stream := range streams {
 		dst, err := Open(Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := dst.IngestReader(bytes.NewReader(a.Raw()[:n]), "tiny"); err == nil {
-			t.Fatalf("truncated arena stream (%d bytes) was accepted", n)
+		if _, _, err := dst.IngestReader(bytes.NewReader(stream), "tiny"); err == nil {
+			t.Fatalf("arena stream of %d bytes (arena %d) was accepted", len(stream), len(raw))
 		}
 		dst.Close()
+	}
+}
+
+// ingestAlloc returns the bytes one IngestReader call of stream into a
+// fresh memory-only store allocates, and its error.
+func ingestAlloc(t *testing.T, cfg Config, stream []byte) (uint64, *Arena, error) {
+	t.Helper()
+	dst, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dst.Close)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a, release, err := dst.IngestReader(bytes.NewReader(stream), "alloc")
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		release()
+	}
+	return after.TotalAlloc - before.TotalAlloc, a, err
+}
+
+// TestIngestArenaAllocation ingests a 14.4 MB arena (200,000 vertices and
+// edges, 8 pins each): the stream goes straight into the arena's own
+// buffer, so one IngestReader call allocates at most 2.5 times the arena
+// (reading it whole and then copying it took 6.7 times).
+func TestIngestArenaAllocation(t *testing.T) {
+	const nv = 200000
+	b := hypergraph.NewBuilder(nv)
+	pins := make([]int, 8)
+	for e := 0; e < nv; e++ {
+		for k := range pins {
+			pins[k] = (e + k*nv/8) % nv
+		}
+		b.AddEdge(pins...)
+	}
+	src, err := buildArena("big", b.Build().CSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, a, err := ingestAlloc(t, Config{}, src.Raw())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.ID() != src.ID() {
+		t.Fatalf("ingested ID %s, want %s", a.ID(), src.ID())
+	}
+	if bound := uint64(len(src.Raw())) * 5 / 2; got > bound {
+		t.Fatalf("ingesting a %d-byte arena allocated %d bytes, want at most %d", len(src.Raw()), got, bound)
+	}
+}
+
+// TestIngestArenaHeaderBounds checks that a header's declared dimensions
+// never size an allocation by themselves: a header declaring 1 GiB and
+// then ending allocates under 1 MiB, and dimensions outside int32 or an
+// arena over MaxUploadBytes are refused as too large before any read.
+func TestIngestArenaHeaderBounds(t *testing.T) {
+	header := func(nv, ne, np uint64) []byte {
+		h := make([]byte, headerSize)
+		copy(h, arenaMagic)
+		binary.LittleEndian.PutUint64(h[8:], nv)
+		binary.LittleEndian.PutUint64(h[16:], ne)
+		binary.LittleEndian.PutUint64(h[24:], np)
+		return h
+	}
+	got, _, err := ingestAlloc(t, Config{}, header(0, 0, 128<<20))
+	if err == nil || errors.Is(err, ErrTooLarge) {
+		t.Fatalf("1 GiB header with no body: err %v, want a truncation error", err)
+	}
+	if got > 1<<20 {
+		t.Fatalf("1 GiB header with no body allocated %d bytes, want at most 1 MiB", got)
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		stream []byte
+	}{
+		{"vertices past int32", Config{}, header(1<<31, 0, 0)},
+		{"negative edges", Config{}, header(0, ^uint64(0), 0)},
+		{"pins past int32", Config{}, header(0, 0, 1<<40)},
+		{"over the upload limit", Config{MaxUploadBytes: 1 << 20}, header(0, 0, 1<<20)},
+	} {
+		if _, _, err := ingestAlloc(t, tc.cfg, tc.stream); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%s: err %v, want ErrTooLarge", tc.name, err)
+		}
 	}
 }

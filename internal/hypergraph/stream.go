@@ -314,17 +314,23 @@ type CSRBuilder struct {
 	vertexWeights []int64
 }
 
-// Header sizes the accumulators from the declared dimensions.
+// headerReserve caps what Header reserves per accumulator: the declared
+// counts are wire input, so a 13-byte document could otherwise reserve
+// hundreds of megabytes before its body proves them wrong. append grows
+// the accumulators as records actually arrive.
+const headerReserve = 4096
+
+// Header records the declared dimensions and starts the accumulators.
 func (b *CSRBuilder) Header(numEdges, numVertices int, hasEW, hasVW bool) error {
 	b.numVertices = numVertices
 	b.numEdges = numEdges
 	b.hasVW = hasVW
-	b.edgePtr = make([]int32, 1, numEdges+1)
+	b.edgePtr = make([]int32, 1, min(numEdges, headerReserve)+1)
 	if hasEW {
-		b.edgeWeights = make([]int64, 0, numEdges)
+		b.edgeWeights = make([]int64, 0, min(numEdges, headerReserve))
 	}
 	if hasVW {
-		b.vertexWeights = make([]int64, 0, numVertices)
+		b.vertexWeights = make([]int64, 0, min(numVertices, headerReserve))
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package hypergraph
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -363,5 +364,23 @@ func TestHMetisRejectsNegativeWeights(t *testing.T) {
 				t.Fatalf("%q: got %v, want an error naming %q", tc.doc, err, tc.want)
 			}
 		}
+	}
+}
+
+// TestStreamHeaderReservesLittle parses a 13-byte document that declares
+// ten million edges and holds one: the parser must fail on the missing
+// edges without first reserving memory for the declared count (40 MB).
+func TestStreamHeaderReservesLittle(t *testing.T) {
+	const doc = "10000000 1\n1\n"
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadHMetisStream(strings.NewReader(doc))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("%q parsed, want a missing-edges error", doc)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("parsing %q allocated %d bytes, want at most 1 MiB", doc, got)
 	}
 }

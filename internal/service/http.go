@@ -421,14 +421,12 @@ func handleJob(s *Service, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// WriteJSON writes v as an indented JSON response; shared by both serving
-// tiers so error and payload shapes stay identical.
+// WriteJSON writes v as a compact, one-line JSON response; shared by both
+// serving tiers so error and payload shapes stay identical.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone mid-write is not actionable
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone mid-write is not actionable
 }
 
 // WriteError writes the uniform error envelope both serving tiers emit

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -49,10 +50,18 @@ func TestHTTPHealthAndAlgorithms(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// WriteJSON bodies are compact: one line, newline-terminated.
+	if bytes.Count(body, []byte("\n")) != 1 || !bytes.HasSuffix(body, []byte("\n")) {
+		t.Fatalf("body is not one line: %q", body)
+	}
 	var algos struct {
 		Algorithms []string `json:"algorithms"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&algos); err != nil {
+	if err := json.Unmarshal(body, &algos); err != nil {
 		t.Fatal(err)
 	}
 	if len(algos.Algorithms) != 5 {
