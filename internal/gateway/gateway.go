@@ -28,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"hyperpraw"
 	"hyperpraw/client"
@@ -91,9 +92,8 @@ type Config struct {
 	// -announce).
 	Backends []string
 	// HTTPClient talks to the backends; nil selects a client without a
-	// global timeout (SSE streams are long-lived; health probes are
-	// bounded by HealthTimeout instead) whose transport keeps up to
-	// backendIdleConns idle connections per backend.
+	// global timeout (SSE streams are long-lived), health probes are
+	// bounded by HealthTimeout instead.
 	HTTPClient *http.Client
 	// HealthInterval is the period of the background reconciler loop
 	// (default 2s). A negative interval disables the loop; tests drive
@@ -165,17 +165,9 @@ type Config struct {
 	Graphs *graphstore.Store
 }
 
-// backendIdleConns is the default client's idle pool per backend. Every
-// gateway request in flight holds one backend connection, so net/http's
-// default of 2 closes, and later redials, any beyond the second whenever
-// more than two clients are served at once.
-const backendIdleConns = 64
-
 func (c Config) withDefaults() Config {
 	if c.HTTPClient == nil {
-		t := http.DefaultTransport.(*http.Transport).Clone()
-		t.MaxIdleConnsPerHost = backendIdleConns
-		c.HTTPClient = &http.Client{Transport: t}
+		c.HTTPClient = &http.Client{}
 	}
 	if c.HealthInterval == 0 {
 		c.HealthInterval = 2 * time.Second
@@ -227,10 +219,9 @@ type gwJob struct {
 	failovers   int
 	terminal    atomic.Bool
 	// cached is set when the submission was answered from the gateway's
-	// result cache: the job never touched a backend, serves this encoded
-	// payload directly and replays history over SSE.
-	cached  json.RawMessage
-	history []hyperpraw.IterationPoint
+	// result cache: the job never touched a backend, serves this payload
+	// directly and replays its history over SSE.
+	cached *cacheHit
 	// notRecoverable holds the sticky ErrNotRecoverable verdict so every
 	// result poll after the first — not just the one that triggered the
 	// failed failover — serves the actionable 410.
@@ -274,7 +265,7 @@ type Gateway struct {
 	// results is the gateway's own result cache of encoded payloads, as
 	// the backends sent them (nil unless Config.ResultCacheBytes is
 	// positive).
-	results *cache.Cache[json.RawMessage]
+	results *cache.Cache[cachedResult]
 
 	metrics *gatewayMetrics
 }
@@ -298,7 +289,7 @@ func New(cfg Config) *Gateway {
 		g.ownGraphs = true
 	}
 	if cfg.ResultCacheBytes > 0 {
-		g.results = cache.NewBytes[json.RawMessage](cfg.ResultCacheBytes, func(b json.RawMessage) int64 { return int64(len(b)) })
+		g.results = cache.NewBytes[cachedResult](cfg.ResultCacheBytes, cachedResult.cost)
 	}
 	// The member table's hooks close over g.metrics and fire lazily (no
 	// member exists before the seed loop below, which runs after the
@@ -667,9 +658,9 @@ func (g *Gateway) Submit(ctx context.Context, wire hyperpraw.PartitionRequest) (
 	var resultKey string
 	if g.results != nil {
 		resultKey = parsed.ResultKey()
-		if raw, ok := g.results.Get(resultKey); ok {
-			if info, err := g.registerCached(fingerprint, resultKey, raw, telemetry.TraceFrom(ctx)); err == nil {
-				return info, nil
+		if entry, ok := g.results.Get(resultKey); ok {
+			if hit, err := g.hitForm(resultKey, entry); err == nil {
+				return g.registerCached(fingerprint, resultKey, hit, telemetry.TraceFrom(ctx)), nil
 			}
 			// A payload that does not decode is routed like a miss.
 		}
@@ -797,27 +788,63 @@ func (g *Gateway) register(wire hyperpraw.PartitionRequest, fingerprint, resultK
 	return j.snapshot()
 }
 
-// registerCached records a submission answered wholly from the gateway's
-// result cache: the job is born terminal-done, carries the cached payload,
-// and never touches a backend. The payload is decoded once, to flag it as
-// a result-cache hit and to keep its history for SSE replay. The job still
-// counts as a submitted and completed job so the gateway's totals keep
-// balancing.
-func (g *Gateway) registerCached(fingerprint, resultKey string, raw json.RawMessage, trace string) (hyperpraw.JobInfo, error) {
+// cachedResult is one entry of the gateway's result cache: the payload as
+// a backend sent it and, once the entry has been hit, the form every hit
+// on it serves.
+type cachedResult struct {
+	raw json.RawMessage
+	hit *cacheHit
+}
+
+// cacheHit is a cached payload as a result-cache hit serves it: encoded
+// with result_cache_hit set, and with its history decoded for SSE replay.
+type cacheHit struct {
+	payload json.RawMessage
+	history []hyperpraw.IterationPoint
+}
+
+// cost charges an entry against Config.ResultCacheBytes: both encodings
+// and the decoded history.
+func (c cachedResult) cost() int64 {
+	n := int64(len(c.raw))
+	if c.hit != nil {
+		n += int64(len(c.hit.payload)) + int64(len(c.hit.history))*int64(unsafe.Sizeof(hyperpraw.IterationPoint{}))
+	}
+	return n
+}
+
+// hitForm returns the form a hit on entry serves. The first hit on an
+// entry decodes its payload once, flags it and re-encodes it, and stores
+// the result back under key, so that later hits share it and the byte
+// budget counts it.
+func (g *Gateway) hitForm(key string, entry cachedResult) (*cacheHit, error) {
+	if entry.hit != nil {
+		return entry.hit, nil
+	}
 	var res hyperpraw.JobResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return hyperpraw.JobInfo{}, err
+	if err := json.Unmarshal(entry.raw, &res); err != nil {
+		return nil, err
 	}
 	res.ResultCacheHit = true
-	flagged, err := json.Marshal(res)
+	payload, err := json.Marshal(res)
 	if err != nil {
-		return hyperpraw.JobInfo{}, err
+		return nil, err
 	}
-	flagged = append(flagged, '\n') // the line service.WriteJSON ends with
+	payload = append(payload, '\n') // the line service.WriteJSON ends with
+	entry.hit = &cacheHit{payload: payload, history: res.History}
+	g.results.Put(key, entry)
+	return entry.hit, nil
+}
+
+// registerCached records a submission answered wholly from the gateway's
+// result cache: the job is born terminal-done, serves the shared hit form
+// of the cached payload, and never touches a backend. It still counts as
+// a submitted and completed job so the gateway's totals keep balancing.
+func (g *Gateway) registerCached(fingerprint, resultKey string, hit *cacheHit, trace string) hyperpraw.JobInfo {
 	g.mu.Lock()
 	g.nextID++
 	id := fmt.Sprintf("gw-%06d", g.nextID)
-	j := &gwJob{id: id, fingerprint: fingerprint, resultKey: resultKey, cached: flagged, history: res.History}
+	j := &gwJob{id: id, fingerprint: fingerprint, resultKey: resultKey, cached: hit}
 	j.info = hyperpraw.JobInfo{
 		ID: id, Status: hyperpraw.JobDone, Fingerprint: fingerprint, Trace: trace,
 	}
@@ -828,7 +855,7 @@ func (g *Gateway) registerCached(fingerprint, resultKey string, raw json.RawMess
 	g.metrics.jobsSubmitted.Inc()
 	g.markTerminal(j, hyperpraw.JobDone)
 	g.stripJobs(strip)
-	return j.snapshot(), nil
+	return j.snapshot()
 }
 
 // stripJobs drops the retained wire requests pruneLocked returned, outside
@@ -1004,7 +1031,7 @@ func (g *Gateway) Result(ctx context.Context, id string) (json.RawMessage, hyper
 		return nil, j.info, j.notRecoverable
 	}
 	if j.cached != nil {
-		return j.cached, j.info, nil
+		return j.cached.payload, j.info, nil
 	}
 	// wasDone: a result was fetched before, so the retained request is gone
 	// and failover is no longer possible — if the backend has since lost
@@ -1013,8 +1040,8 @@ func (g *Gateway) Result(ctx context.Context, id string) (json.RawMessage, hyper
 	if wasDone && g.results != nil && j.resultKey != "" {
 		// The backend may be gone, but the payload was cached on the first
 		// fetch; serve it without a round trip.
-		if raw, ok := g.results.Get(j.resultKey); ok {
-			return raw, j.info, nil
+		if entry, ok := g.results.Get(j.resultKey); ok {
+			return entry.raw, j.info, nil
 		}
 	}
 	b, ok := g.members.Get(j.backendURL)
@@ -1032,7 +1059,7 @@ func (g *Gateway) Result(ctx context.Context, id string) (json.RawMessage, hyper
 			j.info.Error = ""
 			j.wire = hyperpraw.PartitionRequest{} // no more failovers: stop pinning the upload
 			if g.results != nil && j.resultKey != "" {
-				g.results.Put(j.resultKey, raw)
+				g.results.Put(j.resultKey, cachedResult{raw: raw})
 			}
 			return raw, j.info, nil
 		case errors.Is(err, client.ErrNotDone):
@@ -1213,10 +1240,10 @@ func (g *Gateway) StreamEvents(ctx context.Context, id string, after int, emit f
 		return ErrUnknownJob
 	}
 	j.mu.Lock()
-	cached, history := j.cached != nil, j.history
+	cached := j.cached
 	j.mu.Unlock()
-	if cached {
-		return streamCached(id, after, history, emit)
+	if cached != nil {
+		return streamCached(id, after, cached.history, emit)
 	}
 	lastSeq := after // resume point on the current backend's stream
 	outSeq := after  // gateway-facing sequence, monotone across failovers

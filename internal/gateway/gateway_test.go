@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -48,13 +47,6 @@ func fingerprintOf(t *testing.T, wire hyperpraw.PartitionRequest) string {
 // machine profiling can be gated shut to hold jobs mid-run.
 func newBackend(t *testing.T, gate chan struct{}) *httptest.Server {
 	t.Helper()
-	return startBackend(t, gate, nil)
-}
-
-// startBackend is newBackend whose connections, when connState is set,
-// report their state changes to it.
-func startBackend(t *testing.T, gate chan struct{}, connState func(net.Conn, http.ConnState)) *httptest.Server {
-	t.Helper()
 	profile := hyperpraw.Profile
 	if gate != nil {
 		profile = func(m *hyperpraw.Machine) hyperpraw.Environment {
@@ -63,9 +55,7 @@ func startBackend(t *testing.T, gate chan struct{}, connState func(net.Conn, htt
 		}
 	}
 	svc := service.New(service.Config{Workers: 2, ProfileFunc: profile})
-	ts := httptest.NewUnstartedServer(service.NewHandler(svc))
-	ts.Config.ConnState = connState
-	ts.Start()
+	ts := httptest.NewServer(service.NewHandler(svc))
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -747,62 +737,6 @@ func TestGatewayRawHMetisUpload(t *testing.T) {
 	}
 }
 
-// TestGatewayKeepsBackendConnections runs 8 concurrent clients of 50 jobs
-// each (submit, SSE stream, result) through a gateway over two backends.
-// The gateway's default client reads every backend response to its end
-// and keeps up to 64 idle connections per backend, so no backend sees more
-// connections than there are clients.
-func TestGatewayKeepsBackendConnections(t *testing.T) {
-	const clients, jobs = 8, 50
-	var urls []string
-	var conns []*atomic.Int32
-	for i := 0; i < 2; i++ {
-		n := new(atomic.Int32)
-		b := startBackend(t, nil, func(_ net.Conn, state http.ConnState) {
-			if state == http.StateNew {
-				n.Add(1)
-			}
-		})
-		urls = append(urls, b.URL)
-		conns = append(conns, n)
-	}
-	g := newGateway(t, urls...)
-	gw := httptest.NewServer(NewHandler(g))
-	t.Cleanup(gw.Close)
-	transport := &http.Transport{MaxIdleConnsPerHost: clients}
-	t.Cleanup(transport.CloseIdleConnections)
-	c := client.New(gw.URL, &http.Client{Transport: transport})
-	ctx := testCtx(t)
-
-	var wg sync.WaitGroup
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < jobs; i++ {
-				info, err := c.Submit(ctx, tinyWire(w*jobs+i))
-				if err == nil {
-					err = c.StreamProgress(ctx, info.ID, 0, func(hyperpraw.ProgressEvent) error { return nil })
-				}
-				if err == nil {
-					_, err = c.Result(ctx, info.ID)
-				}
-				if err != nil {
-					t.Errorf("client %d job %d: %v", w, i, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for i, n := range conns {
-		if got := n.Load(); got > clients {
-			t.Errorf("backend %d accepted %d connections for %d jobs from %d clients, want at most %d",
-				i, got, clients*jobs, clients, clients)
-		}
-	}
-}
-
 // getBody fetches url and returns its status and body.
 func getBody(t *testing.T, url string) (int, []byte) {
 	t.Helper()
@@ -901,4 +835,49 @@ func TestGatewayResultCacheHitIsBornDone(t *testing.T) {
 	if final := events[len(events)-1]; !final.Final || final.Status != hyperpraw.JobDone {
 		t.Fatalf("last replayed event %+v, want the final done frame", final)
 	}
+
+	// A later hit serves the first hit's payload rather than a copy of its
+	// own, and the cache's byte budget counts that payload with the entry.
+	again, err := g.Submit(ctx, tinyWire(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hitA, _, err := g.Result(ctx, repeat.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hitB, _, err := g.Result(ctx, again.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hitA) == 0 || len(hitB) == 0 || &hitA[0] != &hitB[0] {
+		t.Fatal("two hits of one key hold separate payloads")
+	}
+	j, _ := g.job(repeat.ID)
+	entry, ok := g.results.Get(j.resultKey)
+	if !ok || entry.hit == nil || &entry.hit.payload[0] != &hitA[0] {
+		t.Fatal("the cache entry does not hold the payload its hits serve")
+	}
+	if got, encoded := g.results.Stats().Bytes, int64(len(entry.raw)+len(hitA)); got < encoded {
+		t.Fatalf("result cache charges %d bytes for an entry of %d encoded bytes", got, encoded)
+	}
+
+	// Concurrent hits share it too.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			info, err := g.Submit(ctx, tinyWire(5))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			raw, _, err := g.Result(ctx, info.ID)
+			if err != nil || len(raw) == 0 || &raw[0] != &hitA[0] {
+				t.Errorf("concurrent hit %s: %d bytes (err %v), want the shared payload", info.ID, len(raw), err)
+			}
+		}()
+	}
+	wg.Wait()
 }

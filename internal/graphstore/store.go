@@ -296,11 +296,13 @@ func (s *Store) ingestArena(r io.Reader, name string) (*Arena, func(), error) {
 const arenaReadChunk = 64 << 10
 
 // readArenaBody reads an arena of size bytes, whose header hdr was
-// already read, into an aligned buffer. The buffer doubles as bytes
-// arrive and jumps to the full size once more than a quarter of it has
-// arrived, so it allocates at most twice the arena and at most four times
-// the bytes received, whatever size the header declares. A short stream
-// and a trailing byte are both errors.
+// already read, into an aligned buffer. The buffer starts at
+// arenaReadChunk, doubles as bytes arrive and jumps to the full size once
+// more than a quarter of it has arrived. In all it allocates at most
+// twice the arena and, whatever size the header declares, at most the
+// larger of arenaReadChunk and six times the bytes received (the doubled
+// buffers, up to twice what was received, plus a full-size buffer under
+// four times it). A short stream and a trailing byte are both errors.
 func readArenaBody(r io.Reader, hdr []byte, size int64) ([]byte, error) {
 	buf := alignedBytes(min(size, arenaReadChunk))
 	n := int64(copy(buf, hdr))
