@@ -29,14 +29,37 @@ import (
 
 // T is the per-case context handed to every chaos case: deadline-bound
 // context plus fail/log helpers that prefix output with the case ID. A
-// failed check aborts the whole suite non-zero — that is what CI keys off.
+// failed check ends the case, whose deferred cleanup (processes, store
+// directories) then runs, and runCase reports the failure, after which the
+// suite exits non-zero — that is what CI keys off.
 type T struct {
 	Ctx context.Context
 	ID  string
 }
 
+// caseFailed is the panic value Fatalf ends a case with. Like
+// testing.T.FailNow, Fatalf must be called from the case's own goroutine.
+type caseFailed struct{}
+
 func (t *T) Fatalf(format string, args ...any) {
-	log.Fatalf("[%s] FAIL: %s", t.ID, fmt.Sprintf(format, args...))
+	log.Printf("[%s] FAIL: %s", t.ID, fmt.Sprintf(format, args...))
+	panic(caseFailed{})
+}
+
+// runCase runs one case and reports whether it passed. A Fatalf unwinds
+// the case through its deferred cleanup before landing here; any other
+// panic does too, and is then re-raised.
+func runCase(cc chaosCase, t *T) (passed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(caseFailed); !ok {
+				panic(r)
+			}
+			passed = false
+		}
+	}()
+	cc.Run(t)
+	return true
 }
 
 func (t *T) Logf(format string, args ...any) {
@@ -165,6 +188,14 @@ func startProc(name string, env []string, args ...string) (*exec.Cmd, error) {
 // additionally waits for the member table to converge on the full fleet.
 func startCluster(t *T, spec clusterSpec) *cluster {
 	c := &cluster{t: t}
+	// The caller defers Close only once this returns; a start that fails
+	// part-way stops what it already started.
+	defer func() {
+		if r := recover(); r != nil {
+			c.Close()
+			panic(r)
+		}
+	}()
 	if spec.announce && !spec.noGateway {
 		c.startGateway(nil, spec.gatewayArgs)
 	}

@@ -82,7 +82,10 @@ func main() {
 		t := &T{Ctx: ctx, ID: cc.ID}
 		t.Logf("=== %s", cc.Title)
 		start := time.Now()
-		cc.Run(t) // a failed check log.Fatal's, so reaching here means pass
+		if !runCase(cc, t) {
+			log.Printf("[%s] cleaned up; stopping the suite", cc.ID)
+			os.Exit(1)
+		}
 		t.Logf("--- ok (%s)", time.Since(start).Round(time.Millisecond))
 	}
 	log.Printf("all %d cases passed", len(selected))

@@ -33,8 +33,10 @@ func BenchmarkRun(b *testing.B) {
 // that dominates a HyperPRAW run: the paper's histories (Fig 3) show a
 // handful of tempering passes followed by 50–100 refinement passes, so the
 // kernel's hot state is a *warm* partition where vertices and their
-// neighbours have settled. The warm-up passes run outside the timer; the
-// measured pass streams every vertex of the warm state. Baseline
+// neighbours have settled. The warm-up passes 1–10 run outside the timer;
+// the measured pass streams every vertex of the warm state as pass 11, not
+// as a first pass, which at one worker also builds the pair matrix of the
+// convergence check. Baseline
 // (exhaustive) and touched-only (fast) modes measure the identical workload,
 // so their ns/op ratio is the kernel speedup reported in BENCH_core.json.
 func benchStream(b *testing.B, name string, cost [][]float64, exhaustive bool) {
@@ -56,7 +58,7 @@ func benchStream(b *testing.B, name string, cost [][]float64, exhaustive bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.stream(1, alpha, false)
+		w.stream(11, alpha, false)
 	}
 }
 
@@ -217,13 +219,15 @@ func benchParallelStream(b *testing.B, name string, cost [][]float64, workers in
 	// A few extra supersteps at the measured alpha push every lazily grown
 	// buffer (argmin heaps, scanner scratch, runtime channel-park caches) to
 	// its high-water mark before the timer starts, so short -benchtime runs
-	// report the steady-state 0 allocs/op instead of one-time growth.
+	// report the steady-state 0 allocs/op instead of one-time growth. They
+	// and the measured supersteps run as pass 11, a refinement pass: at one
+	// worker, pass 1 also builds the pair matrix.
 	for i := 0; i < 4; i++ {
-		pr.superstep(1, alpha, false)
+		pr.superstep(11, alpha, false)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pr.superstep(1, alpha, false)
+		pr.superstep(11, alpha, false)
 	}
 }
 

@@ -89,3 +89,45 @@ func TestStopHookImmediateCancel(t *testing.T) {
 		t.Fatalf("Parts length %d, want %d", len(res.Parts), h.NumVertices())
 	}
 }
+
+// TestStopBeforeFirstPassCostsRoundRobin: a run stopped before its first
+// pass never streamed, so nothing built its pair matrix; it must count the
+// matrix then. Its FinalCommCost must be the round-robin partition's cost
+// from an independent recount, summed in pairCounts.cost's order, at one
+// worker and at two, in both neighbour-count modes.
+func TestStopBeforeFirstPassCostsRoundRobin(t *testing.T) {
+	h := randomHG(10, 400, 560, 8)
+	p := 32
+	roundRobin := make([]int32, h.NumVertices())
+	for v := range roundRobin {
+		roundRobin[v] = int32(v % p)
+	}
+	for _, cost := range [][][]float64{profile.UniformCost(p), hier2Cost(p), physCost(p, 4)} {
+		for _, weighted := range []bool{false, true} {
+			pairs := naivePairs(h, roundRobin, p, weighted)
+			want := 0.0
+			for a, c := range cost {
+				row := 0.0
+				for j, x := range pairs[a*p : (a+1)*p] {
+					if x != 0 {
+						row += float64(x) * c[j]
+					}
+				}
+				want += row
+			}
+			for _, workers := range []int{1, 2} {
+				cfg := DefaultConfig(cost)
+				cfg.UseEdgeWeights = weighted
+				cfg.Stop = func() bool { return true }
+				res, err := PartitionParallel(h, cfg, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Iterations != 0 || res.FinalCommCost != want {
+					t.Fatalf("w=%d edgeweights=%v: %d iterations, FinalCommCost %v, round-robin recount %v",
+						workers, weighted, res.Iterations, res.FinalCommCost, want)
+				}
+			}
+		}
+	}
+}

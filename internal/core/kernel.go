@@ -58,14 +58,9 @@ type kernel struct {
 	// increments are noise next to the scoring arithmetic) so benchmarks
 	// measure the same code path the serving layer runs.
 	tally StreamStats
-
-	// Hoisted closures for the min-load index (allocated once, not per
-	// vertex).
-	loadOfFn    func(int32) int64
-	untouchedFn func(int32) bool
 }
 
-// setup points k at its scratch and binds the min-load closures to k.
+// setup points k at its scratch.
 func (k *kernel) setup(h *hypergraph.Hypergraph, cfg *Config, cidx *CostIndex, sc *scratch) {
 	p := len(cfg.CostMatrix)
 	*k = kernel{
@@ -73,8 +68,6 @@ func (k *kernel) setup(h *hypergraph.Hypergraph, cfg *Config, cidx *CostIndex, s
 		sc: sc, cidx: cidx, loads: sc.loads,
 		fastEligible: fastScanEligible(*cfg, cidx, p),
 	}
-	k.loadOfFn = func(i int32) int64 { return k.loads[i] }
-	k.untouchedFn = func(i int32) bool { return k.sc.pstamp[i] != k.sc.epoch }
 }
 
 // fastScanEligible decides whether the touched-only scan can beat the
@@ -110,7 +103,7 @@ func (k *kernel) reseed(expected []float64) {
 	if k.cidx.kind == costBlocked {
 		k.sc.resetBlockState(len(k.cidx.blocks))
 	} else {
-		k.sc.minIdx.reset(expected, k.loadOfFn)
+		k.sc.minIdx.reset(expected, k.loads)
 	}
 }
 
@@ -120,7 +113,7 @@ func (k *kernel) reseed(expected []float64) {
 // none).
 //
 // Candidate scoring dispatches on the cost-tier index's classification of
-// the matrix: uniform → pickUniform (single heap pop), blocked
+// the matrix: uniform → pickUniform (one min-load heap walk), blocked
 // (hierarchical) → pickBlocked (tiered block walk), unstructured → the
 // exhaustive O(p) reference (pickExhaustive). Every fast scan is
 // move-for-move identical to the reference but costs far less per vertex.
@@ -144,7 +137,7 @@ func (k *kernel) pick(cur int32, penalty, alpha float64, expected []float64) int
 		k.scanWork += work
 		// The block walk wins while pruning keeps the scored set small; if
 		// the observed work approaches the exhaustive scan's p, stop paying
-		// the heap traffic for the rest of this stream. The next stream
+		// for the block walk for the rest of this stream. The next stream
 		// re-evaluates.
 		if k.scanTried >= 128 && k.scanWork > k.scanTried*(len(k.cidx.blocks)+k.p/2) {
 			k.scanOff = true
@@ -263,6 +256,17 @@ func touchedPrunable(ni, tBound, tScale, loadTerm, penalty, bestVal float64) boo
 	return ub < bestVal
 }
 
+// loadPrunable reports whether an untouched candidate with normalised load
+// q can be skipped: tLB lower-bounds its T_i(v), so −ni·tLB − α·q − penalty
+// bounds its value from above, and it is pruned when even that bound is
+// strictly below the incumbent bestVal. The same holds for every candidate
+// with a load of at least q. Inflated so rounding can only widen the scan.
+func loadPrunable(ni, tLB, alpha, q, penalty, bestVal float64) bool {
+	ub := -ni*tLB - alpha*q - penalty
+	ub += boundMargin * (math.Abs(ub) + 1)
+	return ub < bestVal
+}
+
 // heaviestTouched returns j*, the touched partition holding the most
 // neighbour mass (the first such in touched order), and Σ_j X_j(v). j* is
 // 0 for an isolated vertex, which has no touched partitions.
@@ -318,10 +322,9 @@ func (k *kernel) pickUniform(cur int32, penalty, alpha float64, expected []float
 		}
 		considerCandidate(&bestVal, &bestPart, i, cur, k.value(i, cur, niT, t, penalty, alpha, expected))
 	}
-	if e, ok := sc.minIdx.popBestUntouched(k.untouchedFn); ok {
+	if e, ok := sc.minIdx.bestUntouched(sc.pstamp, sc.epoch); ok {
 		considerCandidate(&bestVal, &bestPart, e.idx, cur, k.value(e.idx, cur, niU, tU, penalty, alpha, expected))
 	}
-	sc.minIdx.restore()
 	curTouched := sc.pstamp[cur] == sc.epoch
 	if !curTouched {
 		considerCandidate(&bestVal, &bestPart, cur, cur, k.value(cur, cur, niU, tU, penalty, alpha, expected))
@@ -360,15 +363,17 @@ func (k *kernel) pickUniform(cur int32, penalty, alpha float64, expected []float
 // j*. A block is rejected in O(1) when even (floor comm, exact min member
 // load) cannot beat the incumbent — the floor sums are tight to
 // within-block noise, where a scalar min(C)·ΣX bound would slack by the
-// full tier spread; a surviving block scores members in ascending
-// (W(i)/E(i), i) until the same bound closes. For an exact block the floor
-// sum IS every member's communication term, so the first member scored
-// (the block's lowest-(load, index) one, which dominates its siblings
-// under the exhaustive tie-break) settles the whole block in O(1) after
-// the shared floor pass.
+// full tier spread. For an exact block the floor sum IS every member's
+// communication term, so its lowest-(load, index) available member, which
+// dominates its siblings under the exhaustive tie-break, settles the whole
+// block in O(1) after the shared floor pass. A surviving noisy block is
+// settled in one pass over its members: its cached argmin first when
+// available, then every other available member whose own bound (floor
+// comm, its own load) can still beat the incumbent.
 //
 // work approximates the scan's cost in units of one exhaustive candidate
-// evaluation, so the stream can fall back when the walk stops pruning.
+// evaluation — a block refresh or one pass over a block's members counts
+// one — so the stream can fall back when the walk stops pruning.
 // Move-for-move parity with pickExhaustive holds by the same argument as
 // the other fast scans: every scored candidate uses the identical
 // floating-point evaluation, pruning is strict (a pruned candidate is
@@ -470,52 +475,42 @@ func (k *kernel) pickBlocked(cur int32, penalty, alpha float64, expected []float
 		// O(1) block rejection: blockMinQ[b] is the exact minimum
 		// normalised load over the block's members (a lower bound for
 		// the unscored ones), so if even (floor comm, min load) cannot
-		// beat the incumbent, nothing in the block can. Inflated so
-		// rounding can only widen the scan.
-		ubBlock := -niU*tLB - alpha*sc.blockMinQ[b] - penalty
-		ubBlock += boundMargin * (math.Abs(ubBlock) + 1)
-		if ubBlock < bestVal {
+		// beat the incumbent, nothing in the block can.
+		if loadPrunable(niU, tLB, alpha, sc.blockMinQ[b], penalty, bestVal) {
 			k.tally.BlockRejections++
 			continue
 		}
-		exact := ci.blocks[b].exact
-		first := true
-		for {
-			var i int32
-			var q float64
-			var ok bool
-			// The cached argmin doubles as the block's first candidate
-			// when still available, skipping one member scan.
-			if i = sc.blockMinIdx[b]; first && sc.pstamp[i] != epoch && sc.sstamp[i] != epoch {
-				q, ok = sc.blockMinQ[b], true
-			} else {
+		if ci.blocks[b].exact {
+			// Every member shares T_i = tLB, so the lowest-(load, index)
+			// available member dominates its siblings: the cached argmin
+			// when still available, else one member scan finds it.
+			i, q, ok := sc.blockMinIdx[b], sc.blockMinQ[b], true
+			if sc.pstamp[i] == epoch || sc.sstamp[i] == epoch {
 				i, q, ok = k.minAvailableInBlock(b, expected)
 				work++
 			}
-			first = false
-			if !ok {
-				break
-			}
-			// Upper bound for this member and everything after it in the
-			// block (heavier load, communication no cheaper than the
-			// floor).
-			ub := -niU*tLB - alpha*q - penalty
-			ub += boundMargin * (math.Abs(ub) + 1)
-			if ub < bestVal {
-				break
-			}
-			t := tLB
-			if !exact {
-				t = k.comm(i)
-			}
-			score(i, niU, t)
-			if exact {
-				// Exact block: every sibling shares this T_i, so the
-				// lowest-(load, index) member just scored dominates them
-				// under the exhaustive tie-break.
+			if ok && !loadPrunable(niU, tLB, alpha, q, penalty, bestVal) {
+				score(i, niU, tLB)
 				k.tally.ExactSettles++
-				break
 			}
+			continue
+		}
+		// A noisy block in one pass. Its cached argmin carries the block's
+		// least load, so when available it goes first (its bound is the
+		// block's, which just passed) and hands the rest the strongest
+		// incumbent the block offers. considerCandidate makes their order
+		// irrelevant, and a member skipped by its bound is strictly worse
+		// than an incumbent that only improves.
+		if i := sc.blockMinIdx[b]; sc.pstamp[i] != epoch && sc.sstamp[i] != epoch {
+			score(i, niU, k.comm(i))
+		}
+		work++
+		for _, i := range ci.blocks[b].members {
+			if sc.pstamp[i] == epoch || sc.sstamp[i] == epoch ||
+				loadPrunable(niU, tLB, alpha, float64(k.loads[i])/expected[i], penalty, bestVal) {
+				continue
+			}
+			score(i, niU, k.comm(i))
 		}
 	}
 	return bestPart, work

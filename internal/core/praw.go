@@ -399,9 +399,10 @@ func (pr *Partitioner) Run() Result {
 
 // reset restores the initial assignment (round-robin, or the caller's when
 // repartitioning) and everything derived from it: the shared load
-// counters, E(i), the pair counts and, under block-aligned ownership, the
-// block census. It restarts the shuffled order and clears the frontier
-// stamps too, so no run depends on what the pooled buffers held before.
+// counters, E(i) and, under block-aligned ownership, the block census. It
+// restarts the shuffled order and clears the frontier stamps too, so no run
+// depends on what the pooled buffers held before. The pair counts are left
+// to the first pass (see superstep.go), or to restream when no pass runs.
 func (pr *Partitioner) reset() {
 	h, sc, p := pr.h, pr.sc, pr.p
 	loads := pr.pool[0].loads
@@ -431,7 +432,6 @@ func (pr *Partitioner) reset() {
 	if pr.cfg.FrontierRestreaming {
 		clear(sc.dirty)
 	}
-	sc.countPairs(h, sc.assign, pr.cfg.UseEdgeWeights, &sc.pairs, 0, p)
 	if pr.blockAligned {
 		clear(pr.blockVerts)
 		for _, part := range sc.snapshot {
@@ -535,12 +535,15 @@ func (pr *Partitioner) restream() Result {
 
 	// PC(P) depends only on the partition, so the best partition's cost is
 	// the value recorded when it was saved; a run stopped before its first
-	// pass reports the initial assignment's.
+	// pass counts the initial assignment's pairs now.
 	final := pr.sc.snapshot
 	if haveBest {
 		final = bestParts
 		res.FinalCommCost = bestCost
 	} else {
+		if res.Iterations == 0 {
+			pr.sc.countPairs(pr.h, pr.sc.assign, cfg.UseEdgeWeights, &pr.sc.pairs, 0, pr.p)
+		}
 		res.FinalCommCost = pr.sc.pairs.cost(cfg.CostMatrix)
 	}
 	res.Parts = append([]int32(nil), final...)

@@ -23,12 +23,17 @@ import (
 // ever grow, which is what makes reuse safe — stamps written for a previous
 // (possibly larger) hypergraph can never equal a future epoch.
 type scratch struct {
-	// Distinct-neighbour gather state (paper eq 4).
+	// Distinct-neighbour gather state (paper eq 4). While placed is set
+	// (a lone worker's first pass, which builds the pair matrix; see
+	// movePairs) xPlaced[j] is the part of xCounts[j] from the neighbours
+	// visited earlier in the pass, those u with placed[u] < 0.
 	vstamp  []int32
 	pstamp  []int32
 	epoch   int32
 	xCounts []float64
+	xPlaced []float64
 	touched []int32
+	placed  []int32
 
 	// Touched-only candidate scan state.
 	minIdx minLoadIndex
@@ -76,9 +81,9 @@ type scratch struct {
 
 	// pairs holds the neighbour-pair counts behind the convergence check
 	// (see pairCounts), one matrix per run however many workers it has. A
-	// one-worker run recounts them when the assignment is reset and then
-	// maintains them move by move from the X_j(v) each visit already
-	// gathered; with several workers every barrier recounts them.
+	// one-worker run builds them during its first pass and then maintains
+	// them move by move, both from the X_j(v) each visit already gathered;
+	// with several workers every barrier recounts them.
 	pairs pairCounts
 }
 
@@ -98,6 +103,8 @@ func acquireScratch(nv, p int) *scratch {
 	sc.sstamp = grow(sc.sstamp, p)
 	sc.touched = sc.touched[:0]
 	sc.xCounts = grow(sc.xCounts, p)
+	sc.xPlaced = grow(sc.xPlaced, p)
+	sc.placed = nil
 	sc.loads = grow(sc.loads, p)
 	return sc
 }
@@ -119,9 +126,11 @@ func grow[T any](s []T, n int) []T {
 // several hyperedges counts once, and v itself never counts. With weighted
 // set the semantics switch to hyperedge-weighted pin incidences: every
 // (edge, neighbour) pair contributes w(e), modelling per-edge
-// communication volume (§8.2). Epoch wraparound (after 2^31−2 gathers,
-// e.g. a pooled scratch serving jobs for days) is handled by bumpEpoch.
+// communication volume (§8.2). While sc.placed is set it also fills
+// xPlaced. Epoch wraparound (after 2^31−2 gathers, e.g. a pooled scratch
+// serving jobs for days) is handled by bumpEpoch.
 func (sc *scratch) gather(h *hypergraph.Hypergraph, parts []atomic.Int32, v int, weighted bool) {
+	placed := sc.placed
 	epoch := sc.bumpEpoch()
 	sc.vstamp[v] = epoch
 	sc.touched = sc.touched[:0]
@@ -144,9 +153,13 @@ func (sc *scratch) gather(h *hypergraph.Hypergraph, parts []atomic.Int32, v int,
 			if sc.pstamp[part] != epoch {
 				sc.pstamp[part] = epoch
 				sc.xCounts[part] = 0
+				sc.xPlaced[part] = 0
 				sc.touched = append(sc.touched, part)
 			}
 			sc.xCounts[part] += w
+			if placed != nil && placed[u] < 0 {
+				sc.xPlaced[part] += w
+			}
 		}
 	}
 }
@@ -211,12 +224,8 @@ func (pc *pairCounts) cost(cost [][]float64) float64 {
 	return total
 }
 
-// countPairs recounts rows [lo, hi) of pc: it clears their marked cells,
-// then every vertex whose partition lies in [lo, hi) adds its gathered
-// X_j(v) to its row. Over all p rows this is the matrix of parts; over a
-// row range it is one worker's disjoint share of the barrier recount,
-// written straight into the run's single matrix.
-func (sc *scratch) countPairs(h *hypergraph.Hypergraph, parts []atomic.Int32, weighted bool, pc *pairCounts, lo, hi int) {
+// clearRows zeroes rows [lo, hi) of pc through their marks.
+func (pc *pairCounts) clearRows(lo, hi int) {
 	for a := lo; a < hi; a++ {
 		marks := pc.nz[a*pc.words : (a+1)*pc.words]
 		for k, word := range marks {
@@ -226,6 +235,15 @@ func (sc *scratch) countPairs(h *hypergraph.Hypergraph, parts []atomic.Int32, we
 			marks[k] = 0
 		}
 	}
+}
+
+// countPairs recounts rows [lo, hi) of pc: it clears them, then every
+// vertex whose partition lies in [lo, hi) adds its gathered X_j(v) to its
+// row. Over all p rows this is the matrix of parts; over a row range it is
+// one worker's disjoint share of the barrier recount, written straight
+// into the run's single matrix.
+func (sc *scratch) countPairs(h *hypergraph.Hypergraph, parts []atomic.Int32, weighted bool, pc *pairCounts, lo, hi int) {
+	pc.clearRows(lo, hi)
 	for v := range parts {
 		a := parts[v].Load()
 		if int(a) < lo || int(a) >= hi {
@@ -241,22 +259,30 @@ func (sc *scratch) countPairs(h *hypergraph.Hypergraph, parts []atomic.Int32, we
 }
 
 // movePairs applies the move of the vertex just gathered from partition a
-// to partition b: its pairs (v, u) leave row a for row b and their mirror
-// images (u, v) leave column a for column b. The neighbour relation is
-// symmetric, so the mirror count of each touched j is X_j(v) too, and the
-// j = a and j = b cases need no special handling. Only the two cells that
-// gain pairs need marks.
-func (sc *scratch) movePairs(a, b int32) {
+// to partition b: its pairs (v, u), counted per touched j in counts, leave
+// row a for row b and their mirror images (u, v) leave column a for column
+// b. The neighbour relation is symmetric, so the mirror count of each
+// touched j is counts[j] too, and the j = a and j = b cases need no special
+// handling. Only the cells that gain pairs need marks.
+//
+// With a < 0 the pairs only arrive. A lone worker's first pass builds its
+// matrix that way from a cleared one: each vertex adds its pairs with the
+// neighbours visited before it (xPlaced) at its new partition b, so each
+// pair is added once, when the later of its two vertices is visited, with
+// both in their end-of-pass partitions.
+func (sc *scratch) movePairs(a, b int32, counts []float64) {
 	pc := &sc.pairs
 	p, m := pc.p, pc.m
 	ra, rb := int(a)*p, int(b)*p
 	marksB := pc.nz[int(b)*pc.words:]
 	kb, bitB := int(b)>>6, uint64(1)<<(b&63)
 	for _, j := range sc.touched {
-		x := int64(sc.xCounts[j])
+		x := int64(counts[j])
 		rj := int(j) * p
-		m[ra+int(j)] -= x
-		m[rj+int(a)] -= x
+		if a >= 0 {
+			m[ra+int(j)] -= x
+			m[rj+int(a)] -= x
+		}
 		m[rb+int(j)] += x
 		m[rj+int(b)] += x
 		marksB[j>>6] |= 1 << (j & 63)

@@ -301,7 +301,8 @@ func (w *worker) do(cmd passCmd) {
 // pass snapshot and counts its vertices per cost-tier block. With several
 // workers, whose moves race, it also recounts the worker's row range of the
 // run's pair matrix from the live assignment, which no one writes until the
-// next stream; a lone worker keeps the matrix current move by move.
+// next stream; a lone worker builds the matrix in its first pass and keeps
+// it current move by move.
 func (w *worker) collect() {
 	pr := w.pr
 	assign, snap := pr.sc.assign, pr.sc.snapshot
@@ -378,6 +379,15 @@ func (w *worker) stream(pass int, alpha float64, frontierOnly bool) {
 	if multi && !pr.blockAligned {
 		first, stride = w.id, len(pr.pool)
 	}
+	// A lone worker's first pass builds the pair matrix as it goes (see
+	// movePairs). It marks the vertices it has placed in the snapshot,
+	// which it does not otherwise read while streaming and which collect
+	// rewrites next.
+	build := !multi && pass == 1
+	if build {
+		run.pairs.clearRows(0, pr.p)
+		sc.placed = run.snapshot
+	}
 	syncCountdown := loadSyncEvery
 	moves := 0
 	var visited int64
@@ -417,20 +427,26 @@ func (w *worker) stream(pass int, alpha float64, frontierOnly bool) {
 		if migration > 0 {
 			penalty = migration * float64(wt)
 		}
-		if best := w.pick(cur, penalty, alpha, expected); best != cur {
+		best := w.pick(cur, penalty, alpha, expected)
+		if best != cur {
 			moves++
 			sc.delta[cur] -= wt
 			sc.delta[best] += wt
 			assign[v].Store(best)
-			if !multi {
-				sc.movePairs(cur, best)
+			if !multi && !build {
+				sc.movePairs(cur, best, sc.xCounts)
 			}
 			w.noteMove(cur, best, wt, expected)
 			if mark {
 				w.markDirty(v, next)
 			}
 		}
+		if build {
+			sc.movePairs(-1, best, sc.xPlaced)
+			sc.placed[v] = -1
+		}
 	}
+	sc.placed = nil
 	w.flushDeltas()
 	w.passMoves = moves
 	w.tally.Moves += int64(moves)

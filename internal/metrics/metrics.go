@@ -226,16 +226,25 @@ type QualityReport struct {
 }
 
 // Evaluate computes a full QualityReport for parts with the given physical
-// cost matrix.
+// cost matrix. The hyperedge cut, SOED and λ−1 come from one λ per
+// hyperedge, in one pass; they are integer sums, so they equal what
+// HyperedgeCut, SOED and ConnectivityMinusOne return.
 func Evaluate(h *hypergraph.Hypergraph, parts []int32, cost [][]float64) QualityReport {
 	k := len(cost)
-	return QualityReport{
-		Hypergraph:     h.Name(),
-		K:              k,
-		HyperedgeCut:   HyperedgeCut(h, parts, k),
-		SOED:           SOED(h, parts, k),
-		LambdaMinusOne: ConnectivityMinusOne(h, parts, k),
-		CommCost:       CommCost(h, parts, cost),
-		Imbalance:      Imbalance(Loads(h, parts, k)),
+	r := QualityReport{
+		Hypergraph: h.Name(),
+		K:          k,
+		CommCost:   CommCost(h, parts, cost),
+		Imbalance:  Imbalance(Loads(h, parts, k)),
 	}
+	sc := newEdgeScanner(k)
+	for e := 0; e < h.NumEdges(); e++ {
+		if l := int64(sc.lambda(h, parts, e)); l > 1 {
+			w := h.EdgeWeight(e)
+			r.HyperedgeCut += w
+			r.SOED += l * w
+			r.LambdaMinusOne += (l - 1) * w
+		}
+	}
+	return r
 }

@@ -300,6 +300,38 @@ func TestQuickCutIdentities(t *testing.T) {
 	}
 }
 
+// Property: Evaluate's one edge pass gives the hyperedge cut, SOED and λ−1
+// of the three standalone functions, on random weighted hypergraphs and
+// random partitions.
+func TestQuickEvaluateMatchesStandaloneCuts(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := stats.NewRNG(seed)
+		nv := rng.Intn(60) + 2
+		ne := rng.Intn(80) + 1
+		k := rng.Intn(8) + 1
+		b := hypergraph.NewBuilder(nv)
+		for e := 0; e < ne; e++ {
+			pins := make([]int, rng.Intn(6)+1)
+			for i := range pins {
+				pins[i] = rng.Intn(nv)
+			}
+			b.AddWeightedEdge(int64(rng.Intn(5)+1), pins...)
+		}
+		h := b.Build()
+		parts := make([]int32, nv)
+		for v := range parts {
+			parts[v] = int32(rng.Intn(k))
+		}
+		r := Evaluate(h, parts, profile.UniformCost(k))
+		return r.HyperedgeCut == HyperedgeCut(h, parts, k) &&
+			r.SOED == SOED(h, parts, k) &&
+			r.LambdaMinusOne == ConnectivityMinusOne(h, parts, k)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: imbalance is always >= 1.
 func TestQuickImbalanceAtLeastOne(t *testing.T) {
 	f := func(raw []uint16) bool {

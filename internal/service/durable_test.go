@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +19,61 @@ func openStore(t *testing.T, dir string) *store.Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// TestFinishedJobJournaledBeforeVisible: a job's outcome reaches the
+// journal before any reader can see it. At every WAL append a store hook
+// inspects every job and counts those already visible as finished (done
+// status, a result or a sealed progress log). The Finished record is the
+// last append of a lone job's life, so a job published before it is
+// journaled is caught there.
+func TestFinishedJobJournaledBeforeVisible(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	st := openStore(t, t.TempDir())
+	s := New(Config{Workers: 1, Store: st})
+	t.Cleanup(func() {
+		s.Shutdown(ctx) //nolint:errcheck
+		st.Close()      //nolint:errcheck
+	})
+	var mu sync.Mutex
+	appends, early := 0, 0
+	st.SetTimingHooks(func(time.Duration) {
+		s.mu.Lock()
+		jobs := make([]*job, 0, len(s.jobs))
+		for _, j := range s.jobs {
+			jobs = append(jobs, j)
+		}
+		s.mu.Unlock()
+		mu.Lock()
+		defer mu.Unlock()
+		appends++
+		for _, j := range jobs {
+			j.mu.Lock()
+			visible := j.info.Status == hyperpraw.JobDone || j.result != nil
+			j.mu.Unlock()
+			if _, sealed := j.progress.all(); visible || sealed {
+				early++
+			}
+		}
+	}, nil)
+
+	info, err := s.Submit(tinyRequest(t, "aware", hyperpraw.MachineSpec{Kind: "archer", Cores: 4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, got, err := s.Wait(ctx, info.ID)
+	if err != nil || res == nil || got.Status != hyperpraw.JobDone {
+		t.Fatalf("job ended %v with result %v: %v", got.Status, res, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if appends < 3 {
+		t.Fatalf("hook saw %d appends, want submit, running and finish", appends)
+	}
+	if early != 0 {
+		t.Fatalf("a job was readable as finished at %d of %d WAL appends", early, appends)
+	}
 }
 
 // TestServiceRestartServesStoredResults is the durability core: a finished

@@ -297,6 +297,10 @@ type job struct {
 	// finishes. Both are set before the job becomes visible to a worker.
 	deadline time.Time
 	cost     int64
+	// finishing is set once the worker starts journaling the job's
+	// outcome, so journalUnfinished does not journal an older status after
+	// it.
+	finishing bool
 	// release returns the job's graph-store reference (set when the request
 	// resolved to a shared arena); called exactly once when the job
 	// finishes. While held it pins the arena: resident against eviction,
@@ -879,12 +883,17 @@ func (s *Service) journalUnfinished() {
 	}
 	s.mu.Unlock()
 	for _, j := range jobs {
-		info := j.snapshot()
-		switch info.Status {
+		// Under the job's lock, so a worker that starts finishing the job
+		// journals its outcome after this record, not before it.
+		j.mu.Lock()
+		switch j.info.Status {
 		case hyperpraw.JobDone, hyperpraw.JobFailed:
-			continue
+		default:
+			if !j.finishing {
+				s.journal(store.StatusChanged(j.info))
+			}
 		}
-		s.journal(store.StatusChanged(info))
+		j.mu.Unlock()
 	}
 }
 
@@ -964,25 +973,30 @@ func (s *Service) runJob(j *job) {
 	}
 	exec := time.Since(started)
 
+	// The job's outcome is journaled before it is published: no reader may
+	// see a finished job, its result or its final progress frame that a
+	// kill could still take away and make a restart recompute.
 	j.mu.Lock()
-	j.info.FinishedAt = time.Now().UnixMilli()
-	j.info.ExecMS = float64(exec) / float64(time.Millisecond)
+	finished := j.info
+	finished.FinishedAt = time.Now().UnixMilli()
+	finished.ExecMS = float64(exec) / float64(time.Millisecond)
+	var result *hyperpraw.JobResult
 	if err != nil {
-		j.info.Status = hyperpraw.JobFailed
-		j.info.Error = err.Error()
+		finished.Status = hyperpraw.JobFailed
+		finished.Error = err.Error()
 	} else {
-		j.info.Status = hyperpraw.JobDone
-		j.result = &res
+		finished.Status = hyperpraw.JobDone
+		result = &res
 	}
-	status, errMsg := j.info.Status, j.info.Error
-	trace, algorithm := j.info.Trace, j.info.Algorithm
-	finished, result := j.info, j.result
+	status, errMsg := finished.Status, finished.Error
+	trace, algorithm := finished.Trace, finished.Algorithm
 	// Only JobInfo and JobResult serve status queries from here on; drop
 	// the request so finished jobs don't pin uploaded hypergraphs in
 	// memory until the retention prune reaches them.
 	j.req = Request{}
 	release := j.release
 	j.release = nil
+	j.finishing = true
 	j.mu.Unlock()
 	if release != nil {
 		// Return the graph-store reference: the arena becomes evictable
@@ -1018,18 +1032,21 @@ func (s *Service) runJob(j *job) {
 			j.progress.append(hyperpraw.ProgressEvent{JobID: id, IterationPoint: pt})
 		}
 	}
-	j.progress.append(hyperpraw.ProgressEvent{JobID: id, Final: true, Status: status, Error: errMsg})
+	final := hyperpraw.ProgressEvent{JobID: id, Final: true, Status: status, Error: errMsg}
 	history, _ := j.progress.all()
 	// A deadline-exceeded Shutdown may have force-sealed the log while
-	// this job was still running, dropping the frame appended above;
-	// journal the job's actual outcome, not the shutdown placeholder.
+	// this job was still running; journal the job's actual outcome, not
+	// the shutdown placeholder.
 	for len(history) > 0 && history[len(history)-1].Final {
 		history = history[:len(history)-1]
 	}
-	history = append(history, hyperpraw.ProgressEvent{
-		JobID: id, Seq: len(history) + 1, Final: true, Status: status, Error: errMsg,
-	})
-	s.journal(store.Finished(finished, result, history))
+	final.Seq = len(history) + 1
+	s.journal(store.Finished(finished, result, append(history, final)))
+
+	j.mu.Lock()
+	j.info, j.result = finished, result
+	j.mu.Unlock()
+	j.progress.append(final)
 	close(j.done)
 }
 
